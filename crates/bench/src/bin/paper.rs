@@ -30,7 +30,8 @@
 //!               & key-value, per-pass sector breakdown, all-scheduler
 //!               bit-identity, reduced-bit strategy delta
 //!   sorttune    digit-width sweep behind ms-sort's DEFAULT_DIGIT_BITS:
-//!               passes and counted sectors for b in 1..=max
+//!               passes, counted sectors and modeled time (K40c and
+//!               GTX 750 Ti) for b in 1..=5, key-only and key-value
 //!   profile     hierarchical scope-tree roll-up with per-block telemetry
 //!               and look-back introspection; writes bench_results/profile.json
 //!   trace       flight-recorder causal analysis: tile dependency DAG and
@@ -1562,10 +1563,11 @@ fn onesweep_compare(opts: &Opts) {
 
 // ====================== ms-sort (iterated multisplit) ======================
 
-/// ms-sort (multisplit-iterated radix sort on the fused pipelines) vs the
-/// CUB-like radix baseline: total counted DRAM sectors for 8-, 16- and
-/// 32-bit key ranges, key-only and key-value, with ms-sort's per-pass
-/// sector breakdown (each digit pass is scoped `ms_sort/passK/...`).
+/// ms-sort (multisplit-iterated radix sort on the fused sweep) vs the
+/// CUB-like radix baseline: total counted DRAM sectors and modeled time
+/// (K40c, repriced on the GTX 750 Ti) for 8-, 16- and 32-bit key ranges,
+/// key-only and key-value, with ms-sort's per-pass sector breakdown (each
+/// digit pass is scoped `ms_sort/passK/...`).
 /// Verifies bit-identity with the host stable sort under sequential,
 /// parallel, and all four adversarial schedulers, and reports the
 /// reduced-bit pipeline's MsSort-vs-Legacy strategy delta.
@@ -1576,16 +1578,18 @@ fn sort_cmd(opts: &Opts) {
     let wpb = 8;
     let mut out = format!(
         "ms-sort (multisplit-iterated radix, b = {} bits/pass) vs radix sort\n\
-         n = 2^{}, K40c. Keys are uniform over an 8-, 16- or 32-bit range;\n\
-         the radix baseline always sorts all 32 bits, ms-sort probes the\n\
-         effective width first (one counted reduction, stage `probe`) and\n\
-         runs ceil(eff/{}) fused digit passes over ping-pong buffers.\n\n",
+         n = 2^{}, counted on K40c; modeled time (us) on K40c and repriced on\n\
+         the GTX 750 Ti. Keys are uniform over an 8-, 16- or 32-bit range;\n\
+         the radix baseline always sorts all 32 bits. ms-sort counts every\n\
+         digit in one up-front histogram (stage `pre-scan`), skips digits\n\
+         that hold all keys in one bucket, and runs one m <= 32 fused sweep\n\
+         per live digit over ping-pong buffers.\n\n",
         ms_sort::DEFAULT_DIGIT_BITS,
         n.ilog2(),
-        ms_sort::DEFAULT_DIGIT_BITS,
     );
     let mut t = Table::new(&[
-        "keys", "kv", "method", "eff", "passes", "probe", "pre", "sweep", "total", "vs-radix", "ms",
+        "keys", "kv", "method", "passes", "pre", "sweep", "sectors", "/radix", "K40c us",
+        "750Ti us", "/radix",
     ]);
     let mut rows: Vec<Json> = Vec::new();
     let mut pass_rows: Vec<(u32, Vec<u64>)> = Vec::new();
@@ -1599,23 +1603,18 @@ fn sort_cmd(opts: &Opts) {
             let mut expect: Vec<(u32, u32)> = keys_host.iter().copied().zip(0..n as u32).collect();
             expect.sort_by_key(|&(k, _)| k);
             let mut radix_total = 0u64;
+            let mut radix_us = (0.0, 0.0);
             for method in ["radix", "ms-sort"] {
                 let dev = Device::new(K40C);
                 let keys = GlobalBuffer::from_slice(&keys_host);
                 let values = values_host.as_ref().map(|v| GlobalBuffer::from_slice(v));
-                let (sk, sv, eff) = if method == "radix" {
-                    let (k, v) =
-                        baselines::radix_sort(&dev, "radix", &keys, values.as_ref(), n, wpb);
-                    (k, v, 32)
+                let (sk, sv) = if method == "radix" {
+                    baselines::radix_sort(&dev, "radix", &keys, values.as_ref(), n, wpb)
+                } else if let Some(v) = &values {
+                    let (k, v) = ms_sort::sort_pairs(&dev, &keys, v, n, wpb);
+                    (k, Some(v))
                 } else {
-                    let eff = ms_sort::effective_key_bits(&dev, &keys, n, wpb);
-                    let (k, v) = if let Some(v) = &values {
-                        let (k, v) = ms_sort::sort_pairs(&dev, &keys, v, n, wpb);
-                        (k, Some(v))
-                    } else {
-                        (ms_sort::sort_keys(&dev, &keys, n, wpb), None)
-                    };
-                    (k, v, eff)
+                    (ms_sort::sort_keys(&dev, &keys, n, wpb), None)
                 };
                 if opts.verify {
                     let ek: Vec<u32> = expect.iter().map(|&(k, _)| k).collect();
@@ -1636,9 +1635,16 @@ fn sort_cmd(opts: &Opts) {
                         .sum()
                 };
                 let total: u64 = dev.records().iter().map(|rec| rec.stats.sectors).sum();
+                let k40c_us = dev.total_seconds() * 1e6;
+                let maxwell_us: f64 = dev
+                    .records()
+                    .iter()
+                    .map(|rec| GTX750TI.estimate(&rec.stats))
+                    .sum::<f64>()
+                    * 1e6;
                 // Per-pass sectors from the "ms_sort/passK/" scopes. The
-                // probe runs once (before any pass); ms-sort's effective-
-                // bit pruning is what shrinks this list below 32/b.
+                // digit histogram runs once (before any pass); skipping
+                // constant digits is what shrinks this list below 32/b.
                 let passes: Vec<u64> = {
                     let mut acc: Vec<u64> = Vec::new();
                     for rec in dev.records() {
@@ -1658,54 +1664,66 @@ fn sort_cmd(opts: &Opts) {
                 };
                 if method == "radix" {
                     radix_total = total;
+                    radix_us = (k40c_us, maxwell_us);
                 } else {
                     if !kv {
                         pass_rows.push((key_bits, passes.clone()));
                     }
-                    // The tentpole claim: fewer total counted sectors than
-                    // the 32-bit radix baseline at every key range.
+                    // The tentpole claims: fewer counted sectors and less
+                    // modeled time on both profiles than the 32-bit radix
+                    // baseline at every key range.
                     if n >= 1 << 12 {
                         assert!(
                             total < radix_total,
                             "ms-sort moved {total} sectors vs radix {radix_total} at \
                              {key_bits}-bit keys, kv={kv}, n={n}"
                         );
+                        assert!(
+                            k40c_us < radix_us.0 && maxwell_us < radix_us.1,
+                            "ms-sort modeled {k40c_us:.1}/{maxwell_us:.1} us (K40c/750 Ti) vs \
+                             radix {:.1}/{:.1} us at {key_bits}-bit keys, kv={kv}, n={n}",
+                            radix_us.0,
+                            radix_us.1
+                        );
                     }
                 }
-                let vs = (method == "ms-sort").then(|| 1.0 - total as f64 / radix_total as f64);
+                let ms_row = method == "ms-sort";
                 t.row(vec![
                     format!("{key_bits}-bit"),
                     if kv { "kv" } else { "key" }.into(),
                     method.into(),
-                    if method == "ms-sort" {
-                        eff.to_string()
-                    } else {
-                        "32".into()
-                    },
-                    if method == "ms-sort" {
+                    if ms_row {
                         passes.len().to_string()
                     } else {
                         String::new()
                     },
-                    stage("probe").to_string(),
                     stage("pre-scan").to_string(),
                     stage("sweep").to_string(),
                     total.to_string(),
-                    vs.map(|s| format!("-{:.1}%", 100.0 * s))
-                        .unwrap_or_default(),
-                    ms(dev.total_seconds()),
+                    if ms_row {
+                        format!("{:.2}x", total as f64 / radix_total as f64)
+                    } else {
+                        String::new()
+                    },
+                    format!("{k40c_us:.1}"),
+                    format!("{maxwell_us:.1}"),
+                    if ms_row {
+                        format!("{:.2}x", k40c_us / radix_us.0)
+                    } else {
+                        String::new()
+                    },
                 ]);
                 rows.push(Json::Obj(vec![
                     ("key_bits".into(), Json::int(key_bits as u64)),
                     ("kv".into(), Json::Bool(kv)),
                     ("method".into(), Json::Str(method.into())),
-                    ("effective_bits".into(), Json::int(eff as u64)),
                     (
                         "passes".into(),
                         Json::Arr(passes.iter().map(|&s| Json::int(s)).collect()),
                     ),
                     ("total_sectors".into(), Json::int(total)),
                     ("total_seconds".into(), Json::Num(dev.total_seconds())),
+                    ("gtx750ti_seconds".into(), Json::Num(maxwell_us * 1e-6)),
                 ]));
             }
         }
@@ -1835,9 +1853,11 @@ fn sort_cmd(opts: &Opts) {
 }
 
 /// Digit-width sweep behind [`ms_sort::DEFAULT_DIGIT_BITS`]: sort 32-bit
-/// keys at every width `b` in `1..=max_digit_bits` and report passes and
-/// counted sectors (key-only and key-value). The committed default must
-/// sit at the key-only sweep's counted-sector minimum.
+/// keys at every width `b` in `1..=MAX_DIGIT_BITS`, key-only and
+/// key-value, and report passes, counted sectors and modeled time on the
+/// K40c and (repriced) the GTX 750 Ti. The committed default must sit at
+/// the key-only sweep's K40c modeled-time minimum: a sector saving the
+/// modeled clock contradicts is not a win.
 fn sorttune_cmd(opts: &Opts) {
     use msrng::SmallRng;
     use simt::{Device, GlobalBuffer};
@@ -1850,76 +1870,83 @@ fn sorttune_cmd(opts: &Opts) {
     let values_host = gen_values(n);
     let mut expect = keys_host.clone();
     expect.sort_unstable();
-    let max_key = ms_sort::max_digit_bits(wpb, 0);
-    let max_kv = ms_sort::max_digit_bits(wpb, 4);
     let mut out = format!(
-        "ms-sort digit-width sweep: full 32-bit keys, n = 2^{}, K40c.\n\
-         Wider digits mean fewer passes but a bigger m = 2^b per pass;\n\
-         key-only passes fit up to b = {max_key}, key-value up to b = {max_kv}\n\
-         (payload staging shrinks the fused sweep's shared-memory budget).\n\n",
-        n.ilog2()
+        "ms-sort digit-width sweep: full 32-bit keys, n = 2^{}, counted on K40c;\n\
+         modeled time (us) on K40c and repriced on the GTX 750 Ti. Wider\n\
+         digits mean fewer m = 2^b sweeps after the one up-front digit\n\
+         histogram; b <= {} keeps every sweep on the m <= 32 fused path.\n\n",
+        n.ilog2(),
+        ms_sort::MAX_DIGIT_BITS
     );
     let mut t = Table::new(&[
         "b",
         "passes",
         "key sectors",
-        "key ms",
+        "key K40c us",
+        "key 750Ti us",
         "kv sectors",
-        "kv ms",
+        "kv K40c us",
+        "kv 750Ti us",
     ]);
-    let mut rows: Vec<Json> = Vec::new();
-    let mut best: Option<(u32, u64)> = None;
-    for b in 1..=max_key {
+    // One sort at width `b`: (counted sectors, K40c us, GTX 750 Ti us).
+    let run = |b: u32, kv: bool| -> (u64, f64, f64) {
         let dev = Device::new(K40C);
         let keys = GlobalBuffer::from_slice(&keys_host);
-        let (sk, _) = ms_sort::sort_by_bit_range_with::<u32>(&dev, &keys, None, n, 0, 32, b, wpb);
+        let values = kv.then(|| GlobalBuffer::from_slice(&values_host));
+        let (sk, _) =
+            ms_sort::sort_by_bit_range_with(&dev, &keys, values.as_ref(), n, 0, 32, b, wpb);
         if opts.verify {
-            assert_eq!(sk.to_vec(), expect, "b={b}");
+            assert_eq!(sk.to_vec(), expect, "b={b} kv={kv}");
         }
-        let total: u64 = dev.records().iter().map(|rec| rec.stats.sectors).sum();
-        let (kv_total, kv_secs) = if b <= max_kv {
-            let kdev = Device::new(K40C);
-            let keys = GlobalBuffer::from_slice(&keys_host);
-            let values = GlobalBuffer::from_slice(&values_host);
-            let _ = ms_sort::sort_by_bit_range_with(&kdev, &keys, Some(&values), n, 0, 32, b, wpb);
-            let kt: u64 = kdev.records().iter().map(|rec| rec.stats.sectors).sum();
-            (Some(kt), Some(kdev.total_seconds()))
-        } else {
-            (None, None)
-        };
-        if best.is_none_or(|(_, s)| total < s) {
-            best = Some((b, total));
+        let recs = dev.records();
+        let sectors = recs.iter().map(|rec| rec.stats.sectors).sum();
+        let maxwell: f64 = recs.iter().map(|rec| GTX750TI.estimate(&rec.stats)).sum();
+        (sectors, dev.total_seconds() * 1e6, maxwell * 1e6)
+    };
+    let mut rows: Vec<Json> = Vec::new();
+    let mut best: Option<(u32, f64)> = None;
+    for b in 1..=ms_sort::MAX_DIGIT_BITS {
+        let key = run(b, false);
+        let kv = run(b, true);
+        if best.is_none_or(|(_, us)| key.1 < us) {
+            best = Some((b, key.1));
         }
         t.row(vec![
             b.to_string(),
             32u32.div_ceil(b).to_string(),
-            total.to_string(),
-            ms(dev.total_seconds()),
-            kv_total.map(|s| s.to_string()).unwrap_or_default(),
-            kv_secs.map(ms).unwrap_or_default(),
+            key.0.to_string(),
+            format!("{:.1}", key.1),
+            format!("{:.1}", key.2),
+            kv.0.to_string(),
+            format!("{:.1}", kv.1),
+            format!("{:.1}", kv.2),
         ]);
+        let side = |(sectors, k40c, maxwell): (u64, f64, f64)| {
+            Json::Obj(vec![
+                ("sectors".into(), Json::int(sectors)),
+                ("k40c_seconds".into(), Json::Num(k40c * 1e-6)),
+                ("gtx750ti_seconds".into(), Json::Num(maxwell * 1e-6)),
+            ])
+        };
         rows.push(Json::Obj(vec![
             ("digit_bits".into(), Json::int(b as u64)),
             ("passes".into(), Json::int(32u32.div_ceil(b) as u64)),
-            ("key_sectors".into(), Json::int(total)),
-            (
-                "kv_sectors".into(),
-                kv_total.map(Json::int).unwrap_or(Json::Null),
-            ),
+            ("key".into(), side(key)),
+            ("kv".into(), side(kv)),
         ]));
     }
     out.push_str(&t.render());
-    let (best_b, best_sectors) = best.expect("non-empty sweep");
+    let (best_b, best_us) = best.expect("non-empty sweep");
     out.push_str(&format!(
-        "\nsweet spot: b = {best_b} ({best_sectors} sectors); the committed default is \
-         b = {}.\n",
+        "\nmodeled-time minimum (key-only, K40c): b = {best_b} ({best_us:.1} us); the \
+         committed default is b = {}.\n",
         ms_sort::DEFAULT_DIGIT_BITS
     ));
     emit("sorttune", out);
     assert_eq!(
         best_b,
         ms_sort::DEFAULT_DIGIT_BITS,
-        "DEFAULT_DIGIT_BITS no longer sits at the sweep minimum — retune it"
+        "DEFAULT_DIGIT_BITS no longer sits at the K40c modeled-time minimum — retune it"
     );
     metrics::sink_push(
         "sorttune",

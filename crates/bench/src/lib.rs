@@ -129,9 +129,6 @@ pub fn stage_of(label: &str) -> &'static str {
         "labeling"
     } else if kernel.contains("pack") {
         "packing"
-    } else if kernel == "bits" {
-        // ms-sort's effective-bit-range probe: one counted reduction.
-        "probe"
     } else if kernel == "permute" {
         // Payload gather by a sorted index permutation.
         "permute"
@@ -193,8 +190,8 @@ pub enum Contender {
     RecursiveSplit,
     /// Full 32-bit radix sort (valid as multisplit for range buckets).
     RadixSort,
-    /// ms-sort: multisplit-iterated radix sort on the fused pipelines,
-    /// with the effective-bit-range fast path (crates/sort).
+    /// ms-sort: one up-front digit histogram, then one fused sweep per
+    /// live digit (crates/sort).
     MsSort,
     /// Radix sort on identity buckets (keys are bucket ids; Table 4's
     /// footnoted comparison row).
@@ -604,9 +601,8 @@ mod tests {
         assert_eq!(stage_of("recursive-split/round0/split"), "splitting");
         // ms-sort scopes each digit pass; the kernel segment wins, so
         // sweeps classify as sweeps even under a "/passK" scope.
-        assert_eq!(stage_of("ms_sort/pass0/fused/pre-scan"), "pre-scan");
-        assert_eq!(stage_of("ms_sort/pass2/fused_large_m/sweep"), "sweep");
-        assert_eq!(stage_of("ms_sort/bits"), "probe");
+        assert_eq!(stage_of("ms_sort/pre-scan"), "pre-scan");
+        assert_eq!(stage_of("ms_sort/pass2/fused/sweep"), "sweep");
         assert_eq!(stage_of("ms_sort/permute"), "permute");
     }
 
@@ -625,7 +621,10 @@ mod tests {
                 true,
             );
             assert!(o.stage("sweep") > 0.0, "kv={kv}");
-            assert!(o.stage_sectors("probe") > 0, "kv={kv}: bits probe ran");
+            assert!(
+                o.stage_sectors("pre-scan") > 0,
+                "kv={kv}: digit histogram ran"
+            );
         }
     }
 

@@ -824,9 +824,9 @@ mod tests {
         assert_eq!(names, vec!["fused", "onesweep"]);
     }
 
-    /// The sort check section: ms-sort's effective-bit pruning plus the
-    /// fused single-pass digit passes must beat the CUB-like radix
-    /// baseline on total counted sectors.
+    /// The sort check section: ms-sort's one digit histogram plus one
+    /// fused sweep per live digit must beat the CUB-like radix baseline
+    /// on total counted sectors.
     #[test]
     fn sort_baseline_section_roundtrips_and_ms_sort_wins() {
         let current = sort_sector_baseline_current(1 << 13, 32);

@@ -71,6 +71,37 @@ pub const fn staging_words_per_element(value_words: usize) -> usize {
     2 + value_words
 }
 
+/// Caller-contract checks of the `_into` entry points, made before any
+/// launch: every input and output buffer holds at least `n` elements,
+/// and an output payload buffer is given exactly when an input payload
+/// is. A short buffer would otherwise panic as an index-out-of-bounds
+/// deep inside a kernel.
+pub(crate) fn check_into_buffers<V: Scalar>(
+    keys: &GlobalBuffer<u32>,
+    values: Option<&GlobalBuffer<V>>,
+    n: usize,
+    out_keys: &GlobalBuffer<u32>,
+    out_values: Option<&GlobalBuffer<V>>,
+) {
+    assert!(keys.len() >= n, "key buffer shorter than n");
+    if let Some(v) = values {
+        assert!(
+            v.len() >= n,
+            "payload buffer shorter than n ({} < {n})",
+            v.len()
+        );
+    }
+    assert!(out_keys.len() >= n, "output key buffer shorter than n");
+    assert_eq!(
+        values.is_some(),
+        out_values.is_some(),
+        "value output must be provided exactly when values are"
+    );
+    if let Some(ov) = out_values {
+        assert!(ov.len() >= n, "output value buffer shorter than n");
+    }
+}
+
 /// Empty result (n = 0): all-zero offsets, no launches.
 pub fn empty_result<V: Scalar>(m: usize, with_values: bool) -> DeviceMultisplit<V> {
     DeviceMultisplit {

@@ -54,7 +54,8 @@ use primitives::{
 
 use crate::bucket::BucketFn;
 use crate::common::{
-    empty_result, eval_buckets, staging_words_per_element, DeviceMultisplit, SMEM_BUDGET_WORDS,
+    check_into_buffers, empty_result, eval_buckets, staging_words_per_element, DeviceMultisplit,
+    SMEM_BUDGET_WORDS,
 };
 use crate::warp_ops::{warp_histogram, warp_histogram_and_offsets};
 
@@ -184,13 +185,12 @@ pub fn multisplit_fused<B: BucketFn + ?Sized, V: Scalar>(
     }
 }
 
-/// [`multisplit_fused`] writing into **caller-provided** output buffers —
-/// the pass-chaining entry point for ms-sort's ping-pong buffering: pass
-/// `k` scatters directly into pass `k+1`'s input with no copy kernel in
-/// between. Returns the `m + 1` bucket offsets.
+/// [`multisplit_fused`] writing into **caller-provided** output buffers:
+/// the `fused/pre-scan` histogram launch followed by
+/// [`multisplit_fused_sweep_into`]. Returns the `m + 1` bucket offsets.
 ///
 /// The output buffers may be `tracked()`; each launch opens a fresh
-/// race-detector epoch, so reusing them across passes is safe. Contents
+/// race-detector epoch, so reusing them across calls is safe. Contents
 /// beyond `n` are left untouched.
 #[allow(clippy::too_many_arguments)]
 pub fn multisplit_fused_into<B: BucketFn + ?Sized, V: Scalar>(
@@ -208,16 +208,50 @@ pub fn multisplit_fused_into<B: BucketFn + ?Sized, V: Scalar>(
         m <= 32,
         "fused multisplit requires m <= 32 (use the large-m path)"
     );
-    assert!(keys.len() >= n, "key buffer shorter than n");
-    assert!(out_keys.len() >= n, "output key buffer shorter than n");
-    assert_eq!(
-        values.is_some(),
-        out_values.is_some(),
-        "value output must be provided exactly when values are"
-    );
-    if let Some(ov) = out_values {
-        assert!(ov.len() >= n, "output value buffer shorter than n");
+    check_into_buffers(keys, values, n, out_keys, out_values);
+    if n == 0 {
+        return vec![0; m as usize + 1];
     }
+    let mu = m as usize;
+    let ipt = fused_items_per_thread(wpb, mu, if values.is_some() { V::BYTES } else { 0 });
+    let totals = GlobalBuffer::<u32>::zeroed(mu);
+    fused_histogram(dev, keys, n, bucket, wpb, ipt, &totals);
+    let totals: Vec<u32> = (0..mu).map(|b| totals.get(b)).collect();
+    multisplit_fused_sweep_into(
+        dev, keys, values, n, bucket, wpb, &totals, out_keys, out_values,
+    )
+}
+
+/// The `fused/sweep` launch alone, given the `m` global bucket totals
+/// (`totals[b]` = number of the `n` keys in bucket `b`). A caller that
+/// already knows the totals skips the pre-scan: ms-sort computes every
+/// digit's totals in one up-front histogram and runs only sweeps. Returns
+/// the `m + 1` bucket offsets; buffer contract as
+/// [`multisplit_fused_into`].
+#[allow(clippy::too_many_arguments)]
+pub fn multisplit_fused_sweep_into<B: BucketFn + ?Sized, V: Scalar>(
+    dev: &Device,
+    keys: &GlobalBuffer<u32>,
+    values: Option<&GlobalBuffer<V>>,
+    n: usize,
+    bucket: &B,
+    wpb: usize,
+    totals: &[u32],
+    out_keys: &GlobalBuffer<u32>,
+    out_values: Option<&GlobalBuffer<V>>,
+) -> Vec<u32> {
+    let m = bucket.num_buckets();
+    assert!(
+        m <= 32,
+        "fused multisplit requires m <= 32 (use the large-m path)"
+    );
+    check_into_buffers(keys, values, n, out_keys, out_values);
+    assert_eq!(totals.len(), m as usize, "one bucket total per bucket");
+    assert_eq!(
+        totals.iter().map(|&t| t as u64).sum::<u64>(),
+        n as u64,
+        "bucket totals must sum to n"
+    );
     if n == 0 {
         return vec![0; m as usize + 1];
     }
@@ -226,24 +260,18 @@ pub fn multisplit_fused_into<B: BucketFn + ?Sized, V: Scalar>(
     let tile = wpb * WARP_SIZE * ipt;
     let l = n.div_ceil(tile); // tiles
 
-    // ====== Pass 1: m global bucket totals.
-    let totals = GlobalBuffer::<u32>::zeroed(mu);
-    fused_histogram(dev, keys, n, bucket, wpb, ipt, &totals);
-
     // Host-side exclusive scan of m ≤ 32 counters into the global bucket
     // bases (what `G`'s row heads were in the three-kernel pipeline).
     let mut bases_host = Vec::with_capacity(mu);
     let mut run = 0u32;
-    for b in 0..mu {
+    for &t in totals {
         bases_host.push(run);
-        run = run.wrapping_add(totals.get(b));
+        run += t;
     }
-    debug_assert_eq!(run as usize, n, "bucket totals must sum to n");
     let bases = GlobalBuffer::from_slice(&bases_host);
     let mut offsets = bases_host;
     offsets.push(n as u32);
 
-    // ====== Pass 2: the fused sweep.
     let ticket = GlobalBuffer::<u32>::zeroed(1);
     let states = TileStates::new(l, mu);
     dev.launch("fused/sweep", l, wpb, |blk| {
@@ -444,6 +472,86 @@ mod tests {
         assert_eq!(r.keys.to_vec(), ek);
         assert_eq!(r.values.unwrap().to_vec(), ev);
         assert_eq!(r.offsets, eo);
+    }
+
+    #[test]
+    #[should_panic(expected = "payload buffer shorter than n")]
+    fn short_payload_fails_at_the_entry_point() {
+        let dev = Device::new(K40C);
+        let n = 5000;
+        let keys = GlobalBuffer::from_slice(&keys_for(n, 1));
+        let values = GlobalBuffer::<u32>::zeroed(100);
+        let out_keys = GlobalBuffer::<u32>::zeroed(n);
+        let out_values = GlobalBuffer::<u32>::zeroed(n);
+        multisplit_fused_into(
+            &dev,
+            &keys,
+            Some(&values),
+            n,
+            &RangeBuckets::new(32),
+            8,
+            &out_keys,
+            Some(&out_values),
+        );
+    }
+
+    #[test]
+    fn sweep_with_known_totals_matches_the_two_launch_path() {
+        // The sweep entry point is the second half of multisplit_fused_into:
+        // same output, same sweep launch stats, one launch fewer.
+        let n = 9000;
+        let bucket = RangeBuckets::new(19);
+        let data = keys_for(n, 4);
+        let keys = GlobalBuffer::from_slice(&data);
+        let dev_full = Device::new(K40C);
+        let full = multisplit_fused(&dev_full, &keys, no_values(), n, &bucket, 8);
+        let mut totals = vec![0u32; 19];
+        for &k in &data {
+            totals[bucket.bucket_of(k) as usize] += 1;
+        }
+        let dev_sweep = Device::new(K40C);
+        let out = GlobalBuffer::<u32>::zeroed(n);
+        let offsets = multisplit_fused_sweep_into(
+            &dev_sweep,
+            &keys,
+            no_values(),
+            n,
+            &bucket,
+            8,
+            &totals,
+            &out,
+            None,
+        );
+        assert_eq!(out.to_vec(), full.keys.to_vec());
+        assert_eq!(offsets, full.offsets);
+        let full_recs = dev_full.records();
+        let sweep_recs = dev_sweep.records();
+        assert_eq!(sweep_recs.len(), 1);
+        assert_eq!(full_recs.len(), 2);
+        assert_eq!(sweep_recs[0].label, "fused/sweep");
+        assert_eq!(sweep_recs[0].stats, full_recs[1].stats);
+    }
+
+    #[test]
+    #[should_panic(expected = "bucket totals must sum to n")]
+    fn sweep_rejects_totals_that_miss_keys() {
+        let dev = Device::new(K40C);
+        let n = 100;
+        let keys = GlobalBuffer::from_slice(&keys_for(n, 2));
+        let out = GlobalBuffer::<u32>::zeroed(n);
+        let mut totals = vec![0u32; 4];
+        totals[0] = 99;
+        multisplit_fused_sweep_into(
+            &dev,
+            &keys,
+            no_values(),
+            n,
+            &RangeBuckets::new(4),
+            8,
+            &totals,
+            &out,
+            None,
+        );
     }
 
     #[test]

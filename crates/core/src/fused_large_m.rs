@@ -54,7 +54,8 @@ use primitives::{block_exclusive_scan_shared, lookback::TileStates, low_lanes_ma
 
 use crate::bucket::BucketFn;
 use crate::common::{
-    empty_result, eval_buckets, staging_words_per_element, DeviceMultisplit, SMEM_BUDGET_WORDS,
+    check_into_buffers, empty_result, eval_buckets, staging_words_per_element, DeviceMultisplit,
+    SMEM_BUDGET_WORDS,
 };
 use crate::fused::MAX_ITEMS_PER_THREAD;
 use crate::warp_ops::{warp_histogram_multi, warp_offsets};
@@ -80,10 +81,9 @@ pub fn max_buckets(wpb: usize, key_value: bool) -> u32 {
 }
 
 /// [`max_buckets`] for an explicit payload width. The bool form assumes a
-/// one-word payload, but staging grows with `V::BYTES` — ms-sort's
-/// reduced-bit fallback runs packed `u64` payloads through this sweep, and
-/// at wide blocks the capacity difference is real (e.g. `wpb = 32`:
-/// 267 buckets for `u32` payloads, 236 for `u64`).
+/// one-word payload, but staging grows with `V::BYTES`, and at wide
+/// blocks the capacity difference is real for `u64` payloads (e.g.
+/// `wpb = 32`: 267 buckets for `u32` payloads, 236 for `u64`).
 pub fn max_buckets_bytes(wpb: usize, value_bytes: u64) -> u32 {
     let sw = staging_words_per_element(value_bytes as usize / 4);
     let fixed = padded_len(wpb * WARP_SIZE) * sw + 1 + (wpb + 1);
@@ -224,8 +224,7 @@ pub fn multisplit_fused_large_m<B: BucketFn + ?Sized, V: Scalar>(
 }
 
 /// [`multisplit_fused_large_m`] writing into **caller-provided** output
-/// buffers — the pass-chaining entry point for ms-sort's ping-pong
-/// buffering (see [`crate::fused::multisplit_fused_into`]). Returns the
+/// buffers (see [`crate::fused::multisplit_fused_into`]). Returns the
 /// `m + 1` bucket offsets.
 #[allow(clippy::too_many_arguments)]
 pub fn multisplit_fused_large_m_into<B: BucketFn + ?Sized, V: Scalar>(
@@ -243,26 +242,18 @@ pub fn multisplit_fused_large_m_into<B: BucketFn + ?Sized, V: Scalar>(
         m > 32,
         "use the dedicated m <= 32 paths below the warp width"
     );
+    let value_bytes = if values.is_some() { V::BYTES } else { 0 };
+    let cap = max_buckets_bytes(wpb, value_bytes);
     assert!(
-        m <= max_buckets(wpb, values.is_some()),
-        "m = {m} exceeds shared-memory capacity for {wpb} warps/block (max {})",
-        max_buckets(wpb, values.is_some())
+        m <= cap,
+        "m = {m} exceeds shared-memory capacity for {wpb} warps/block (max {cap})"
     );
-    assert!(keys.len() >= n, "key buffer shorter than n");
-    assert!(out_keys.len() >= n, "output key buffer shorter than n");
-    assert_eq!(
-        values.is_some(),
-        out_values.is_some(),
-        "value output must be provided exactly when values are"
-    );
-    if let Some(ov) = out_values {
-        assert!(ov.len() >= n, "output value buffer shorter than n");
-    }
+    check_into_buffers(keys, values, n, out_keys, out_values);
     if n == 0 {
         return vec![0; m as usize + 1];
     }
     let mu = m as usize;
-    let ipt = fused_large_m_items_per_thread(wpb, mu, if values.is_some() { V::BYTES } else { 0 });
+    let ipt = fused_large_m_items_per_thread(wpb, mu, value_bytes);
     let tile = wpb * WARP_SIZE * ipt;
     let l = n.div_ceil(tile); // tiles
 
@@ -496,6 +487,42 @@ mod tests {
                 a
             })
             .sectors
+    }
+
+    #[test]
+    #[should_panic(expected = "payload buffer shorter than n")]
+    fn short_payload_fails_at_the_entry_point() {
+        let dev = Device::new(K40C);
+        let n = 5000;
+        let keys = GlobalBuffer::from_slice(&keys_for(n, 1));
+        let values = GlobalBuffer::<u32>::zeroed(100);
+        let out_keys = GlobalBuffer::<u32>::zeroed(n);
+        let out_values = GlobalBuffer::<u32>::zeroed(n);
+        multisplit_fused_large_m_into(
+            &dev,
+            &keys,
+            Some(&values),
+            n,
+            &RangeBuckets::new(64),
+            8,
+            &out_keys,
+            Some(&out_values),
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds shared-memory capacity")]
+    fn wide_payload_capacity_is_checked_at_the_entry_point() {
+        // u64 staging fits fewer buckets than the one-word payload the
+        // bool form of max_buckets assumes; the entry point must check
+        // the payload actually in flight.
+        let m = max_buckets_bytes(32, 8) + 1;
+        assert!(m <= max_buckets(32, true));
+        let dev = Device::new(K40C);
+        let n = 100;
+        let keys = GlobalBuffer::from_slice(&keys_for(n, 1));
+        let values = GlobalBuffer::<u64>::zeroed(n);
+        multisplit_fused_large_m(&dev, &keys, Some(&values), n, &RangeBuckets::new(m), 32);
     }
 
     #[test]

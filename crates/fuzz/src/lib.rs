@@ -86,14 +86,28 @@ pub enum KeyDist {
     OneBucket,
     /// Uniform keys, pre-sorted (already-split input).
     Sorted,
+    /// Uniform keys whose second digit (bits `[w, 2w)`, `w = log2 m`) is
+    /// one constant: ms-sort must skip that digit's sweep.
+    ConstDigit,
 }
 
 impl KeyDist {
+    /// The distributions the multisplit families draw from.
     pub const ALL: [KeyDist; 4] = [
         KeyDist::Uniform,
         KeyDist::Skew75,
         KeyDist::OneBucket,
         KeyDist::Sorted,
+    ];
+
+    /// The sort family's draws: [`KeyDist::ALL`] plus the constant-digit
+    /// keys that exercise ms-sort's digit skipping.
+    pub const SORT: [KeyDist; 5] = [
+        KeyDist::Uniform,
+        KeyDist::Skew75,
+        KeyDist::OneBucket,
+        KeyDist::Sorted,
+        KeyDist::ConstDigit,
     ];
 
     fn token(&self) -> &'static str {
@@ -102,7 +116,16 @@ impl KeyDist {
             KeyDist::Skew75 => "skew75",
             KeyDist::OneBucket => "onebucket",
             KeyDist::Sorted => "sorted",
+            KeyDist::ConstDigit => "constdigit",
         }
+    }
+
+    /// Inverse of the replay-token spelling.
+    fn parse(v: &str) -> Result<KeyDist, String> {
+        KeyDist::SORT
+            .into_iter()
+            .find(|d| d.token() == v)
+            .ok_or_else(|| format!("unknown dist {v:?}"))
     }
 }
 
@@ -228,14 +251,7 @@ pub fn parse_split_replay(s: &str) -> Result<FuzzCase, String> {
                 )
             }
             "kv" => kv = Some(v == "1"),
-            "dist" => {
-                dist = Some(
-                    KeyDist::ALL
-                        .into_iter()
-                        .find(|d| d.token() == v)
-                        .ok_or_else(|| format!("unknown dist {v:?}"))?,
-                )
-            }
+            "dist" => dist = Some(KeyDist::parse(v)?),
             "keyseed" => key_seed = Some(v.parse::<u64>().map_err(|e| format!("keyseed: {e}"))?),
             "wpb" => wpb = Some(v.parse::<usize>().map_err(|e| format!("wpb: {e}"))?),
             "sched" => {
@@ -295,6 +311,12 @@ fn gen_keys_raw(n: usize, m_for_skew: u32, dist: KeyDist, key_seed: u64) -> Vec<
         KeyDist::OneBucket => {
             let k = rng.next_u32();
             vec![k; n]
+        }
+        KeyDist::ConstDigit => {
+            let w = m_for_skew.next_power_of_two().trailing_zeros().max(1);
+            let field = (((1u64 << w) - 1) << w) as u32;
+            let digit = rng.next_u32() & field;
+            (0..n).map(|_| (rng.next_u32() & !field) | digit).collect()
         }
     };
     if dist == KeyDist::Sorted {
@@ -540,8 +562,7 @@ pub fn run_split_case(case: &FuzzCase) -> Result<(), Divergence> {
 pub struct SortCase {
     pub n: usize,
     pub kv: bool,
-    /// Digit width in bits (1..= [`ms_sort::max_digit_bits`]); crosses the
-    /// Fused → FusedLargeM boundary at 6.
+    /// Digit width in bits (1..= [`ms_sort::MAX_DIGIT_BITS`]).
     pub digit_bits: u32,
     /// How many low key bits participate in the sort (0..=32). Keys are
     /// compared by `k & ((1 << bits) - 1)`; ties keep input order.
@@ -595,16 +616,18 @@ fn parse_sort_replay(s: &str) -> Result<SortCase, String> {
         match k {
             "n" => n = Some(v.parse::<usize>().map_err(|e| format!("n: {e}"))?),
             "kv" => kv = Some(v == "1"),
-            "digit" => digit = Some(v.parse::<u32>().map_err(|e| format!("digit: {e}"))?),
-            "bits" => bits = Some(v.parse::<u32>().map_err(|e| format!("bits: {e}"))?),
-            "dist" => {
-                dist = Some(
-                    KeyDist::ALL
-                        .into_iter()
-                        .find(|d| d.token() == v)
-                        .ok_or_else(|| format!("unknown dist {v:?}"))?,
-                )
+            "digit" => {
+                let d = v.parse::<u32>().map_err(|e| format!("digit: {e}"))?;
+                if !(1..=ms_sort::MAX_DIGIT_BITS).contains(&d) {
+                    return Err(format!(
+                        "digit: {d} outside 1..={}",
+                        ms_sort::MAX_DIGIT_BITS
+                    ));
+                }
+                digit = Some(d)
             }
+            "bits" => bits = Some(v.parse::<u32>().map_err(|e| format!("bits: {e}"))?),
+            "dist" => dist = Some(KeyDist::parse(v)?),
             "keyseed" => key_seed = Some(v.parse::<u64>().map_err(|e| format!("keyseed: {e}"))?),
             "wpb" => wpb = Some(v.parse::<usize>().map_err(|e| format!("wpb: {e}"))?),
             "sched" => {
@@ -645,7 +668,8 @@ fn parse_sort_replay(s: &str) -> Result<SortCase, String> {
 }
 
 /// Generate the sort case's input keys (deterministic from `key_seed`).
-/// `Skew75` concentrates keys in the lowest digit of the sorted range.
+/// `Skew75` concentrates keys in the lowest digit of the sorted range;
+/// `ConstDigit` holds the second digit constant.
 pub fn gen_sort_keys(case: &SortCase) -> Vec<u32> {
     gen_keys_raw(
         case.n,
@@ -809,8 +833,8 @@ pub fn shrink_sort(case: &SortCase, still_fails: impl Fn(&SortCase) -> bool) -> 
 /// Deterministically generate sort case `ix` of a run seeded with `seed`.
 /// kv and schedules rotate (12 consecutive indices cover the
 /// {key, kv} x 6-schedule matrix) while digit widths are drawn with a
-/// bias toward the Fused/FusedLargeM capacity boundaries and sizes toward
-/// tile multiples.
+/// bias toward the extremes 1 and [`ms_sort::MAX_DIGIT_BITS`] and sizes
+/// toward tile multiples and past one digit-histogram block.
 pub fn gen_sort_case(seed: u64, ix: usize) -> SortCase {
     let mut rng = SmallRng::seed_from_u64(seed ^ (ix as u64).wrapping_mul(0xD1B5_4A32_D192_ED03));
     let kv = ix % 2 == 1;
@@ -824,15 +848,15 @@ pub fn gen_sort_case(seed: u64, ix: usize) -> SortCase {
         3 => tile + 1,
         4 => (rng.next_u32() as usize % 63) + 2,
         5 => tile * ((rng.next_u32() as usize % 8) + 1),
+        // Spills into a second digit-histogram block.
+        6 => ms_sort::HISTOGRAM_TILE + 1 + rng.next_u32() as usize % tile,
         _ => (rng.next_u32() as usize % MAX_N) + 1,
     };
-    let dist = KeyDist::ALL[(rng.next_u32() % 4) as usize];
-    let max_db = ms_sort::max_digit_bits(wpb, if kv { 4 } else { 0 });
-    let digit_bits = match rng.next_u32() % 4 {
+    let dist = KeyDist::SORT[(rng.next_u32() % 5) as usize];
+    let digit_bits = match rng.next_u32() % 3 {
         0 => 1,
-        1 => 5,             // last width on the Fused path
-        2 => 6.min(max_db), // first width on FusedLargeM
-        _ => 1 + rng.next_u32() % max_db,
+        1 => ms_sort::MAX_DIGIT_BITS,
+        _ => 1 + rng.next_u32() % ms_sort::MAX_DIGIT_BITS,
     };
     let bits = match rng.next_u32() % 4 {
         0 => 0,
@@ -938,14 +962,7 @@ fn parse_seg_replay(s: &str) -> Result<SegCase, String> {
             "ns" => ns = Some(list(v, "ns")?),
             "ms" => ms = Some(list(v, "ms")?),
             "kv" => kv = Some(v == "1"),
-            "dist" => {
-                dist = Some(
-                    KeyDist::ALL
-                        .into_iter()
-                        .find(|d| d.token() == v)
-                        .ok_or_else(|| format!("unknown dist {v:?}"))?,
-                )
-            }
+            "dist" => dist = Some(KeyDist::parse(v)?),
             "keyseed" => key_seed = Some(v.parse::<u64>().map_err(|e| format!("keyseed: {e}"))?),
             "wpb" => wpb = Some(v.parse::<usize>().map_err(|e| format!("wpb: {e}"))?),
             "sched" => {
@@ -1362,14 +1379,7 @@ fn parse_stream_replay(s: &str) -> Result<StreamCase, String> {
                 methods = Some(parsed?);
             }
             "kv" => kv = Some(v == "1"),
-            "dist" => {
-                dist = Some(
-                    KeyDist::ALL
-                        .into_iter()
-                        .find(|d| d.token() == v)
-                        .ok_or_else(|| format!("unknown dist {v:?}"))?,
-                )
-            }
+            "dist" => dist = Some(KeyDist::parse(v)?),
             "keyseed" => key_seed = Some(v.parse::<u64>().map_err(|e| format!("keyseed: {e}"))?),
             "wpb" => wpb = Some(v.parse::<usize>().map_err(|e| format!("wpb: {e}"))?),
             "sched" => {
@@ -2019,6 +2029,13 @@ mod tests {
             parse_replay("sort,n=1,kv=0,digit=3,bits=8,dist=uniform,keyseed=0,wpb=8,m=4").is_err(),
             "m is not a sort field"
         );
+        for digit in [0, 6, 7] {
+            let err = parse_replay(&format!(
+                "sort,n=1,kv=0,digit={digit},bits=8,dist=uniform,keyseed=0,wpb=8,sched=seq"
+            ))
+            .expect_err("digit width outside 1..=5");
+            assert!(err.contains("digit"), "{err}");
+        }
     }
 
     #[test]
@@ -2051,6 +2068,8 @@ mod tests {
         let mut kvs = std::collections::HashSet::new();
         let mut scheds = std::collections::HashSet::new();
         let mut digits = std::collections::HashSet::new();
+        let mut dists = std::collections::HashSet::new();
+        let mut multi_block = false;
         for ix in 0..48 {
             let c = gen_sort_case(5, ix);
             kvs.insert(c.kv);
@@ -2060,16 +2079,22 @@ mod tests {
                 SchedSpec::Adversarial { flavor, .. } => flavor.name().to_string(),
             });
             digits.insert(c.digit_bits);
-            let max_db = ms_sort::max_digit_bits(c.wpb, if c.kv { 4 } else { 0 });
-            assert!(c.digit_bits >= 1 && c.digit_bits <= max_db, "{c:?}");
-            assert!(c.bits <= 32 && c.n <= MAX_N);
+            dists.insert(c.dist.token());
+            assert!(
+                (1..=ms_sort::MAX_DIGIT_BITS).contains(&c.digit_bits),
+                "{c:?}"
+            );
+            assert!(c.bits <= 32 && c.n <= ms_sort::HISTOGRAM_TILE + 256);
+            multi_block |= c.n > ms_sort::HISTOGRAM_TILE;
         }
         assert_eq!(kvs.len(), 2);
         assert_eq!(scheds.len(), 6, "{scheds:?}");
         assert!(
-            digits.contains(&5) && digits.contains(&6),
-            "the Fused→FusedLargeM crossover widths must both appear: {digits:?}"
+            digits.contains(&1) && digits.contains(&ms_sort::MAX_DIGIT_BITS),
+            "both extreme digit widths must appear: {digits:?}"
         );
+        assert_eq!(dists.len(), KeyDist::SORT.len(), "{dists:?}");
+        assert!(multi_block, "some case spans two histogram blocks");
     }
 
     #[test]
@@ -2189,7 +2214,7 @@ mod tests {
         let start = SortCase {
             n: 2048,
             kv: true,
-            digit_bits: 7,
+            digit_bits: 5,
             bits: 29,
             dist: KeyDist::Skew75,
             key_seed: 11,
@@ -2216,7 +2241,7 @@ mod tests {
         let good = SortCase {
             n: 513,
             kv: true,
-            digit_bits: 6,
+            digit_bits: 5,
             bits: 17,
             dist: KeyDist::Uniform,
             key_seed: 99,

@@ -1,31 +1,33 @@
 //! # ms-sort — multisplit-iterated LSB radix sort (paper §3.3–3.4)
 //!
 //! The paper's headline application: radix sort **is** iterated
-//! multisplit. Each pass runs one fused single-pass multisplit
-//! ([`multisplit::Method::Fused`] for digit widths up to 5 bits,
-//! [`multisplit::Method::FusedLargeM`] beyond, chosen through
-//! [`multisplit::Method::auto_for`]) over a [`DigitBuckets`] extraction of
-//! `b` key bits, LSB-first; stability of each pass makes the whole sort
-//! correct.
+//! multisplit. Each pass is one `m ≤ 32` fused sweep
+//! ([`multisplit::multisplit_fused_sweep_into`]) over a [`DigitBuckets`]
+//! extraction of `b ≤ 5` key bits, LSB-first; stability of each pass
+//! makes the whole sort correct.
 //!
-//! Three design points carry the sector budget:
+//! Four design points carry the modeled time and the sector budget:
 //!
+//! * **One up-front digit histogram** — a single `ms_sort/pre-scan`
+//!   launch ([`digit_histograms`]) reads the keys once and counts every
+//!   digit of the sorted field, as OneSweep does (the single-histogram
+//!   multisplit-radix of the extended study, arXiv:1701.01189). Each pass
+//!   takes its bucket totals from it, so no pass runs a pre-scan of its
+//!   own: a sort of `d` live digits is `1 + d` launches.
+//! * **Dead-digit skipping** — a digit whose histogram puts all `n` keys
+//!   in one bucket cannot move anything and is skipped. This prunes the
+//!   dead high digits of keys drawn from an 8- or 16-bit range (two or
+//!   four sweeps instead of seven — the mechanism behind the paper's
+//!   reduced-range wins) and any constant middle digit.
 //! * **Ping-pong buffers** — the engine allocates two output buffers once
 //!   and alternates, so every pass scatters *directly into the next
 //!   pass's input*. No copy kernels, no re-tracking: each launch opens a
 //!   fresh race-detector epoch, so reusing a tracked buffer across passes
-//!   is safe by construction (see `multisplit_fused_into`).
-//! * **Effective-bit-range pruning** — [`sort_keys`] / [`sort_pairs`]
-//!   first run one counted OR-reduction over the keys
-//!   ([`effective_key_bits`]) and sort only the live low bits. Keys drawn
-//!   from an 8- or 16-bit range then cost 1–2 passes instead of 4 — the
-//!   mechanism behind the paper's reduced-range wins.
-//! * **Tunable digit width** — `m = 2^b` buckets per pass.
-//!   [`DEFAULT_DIGIT_BITS`] holds the counted-sector sweet spot measured
-//!   by `paper sorttune` (wider digits mean fewer passes until the
-//!   look-back records and shrinking tiles of the large-`m` sweep eat the
-//!   gain); [`max_digit_bits`] bounds `b` by the fused sweep's
-//!   shared-memory capacity for the payload width actually in flight.
+//!   is safe by construction.
+//! * **Digit width ≤ 5** — `m = 2^b ≤ 32` keeps every pass on the
+//!   memory-bound fused sweep; wider digits would cross onto the
+//!   compute-bound large-m path. [`DEFAULT_DIGIT_BITS`] is the modeled-time
+//!   minimum of the `paper sorttune` sweep.
 //!
 //! On top of the engine sits the **reduced-bit key–value sort** (§3.4):
 //! when keys are small labels, [`argsort_by_bits`] packs
@@ -46,34 +48,30 @@
 //! assert_eq!(sorted, expect);
 //! ```
 
-use multisplit::{multisplit_device_into, with_pipeline, BucketFn, DigitBuckets, Method, Pipeline};
-use primitives::{tail_mask, warp_scan};
-use simt::{blocks_for, lanes_from_fn, splat, Device, GlobalBuffer, Scalar, WARP_SIZE};
+use multisplit::{multisplit_fused_sweep_into, BucketFn, DigitBuckets};
+use primitives::{low_lanes_mask, tail_mask, warp_scan};
+use simt::{blocks_for, lanes_from_fn, Device, GlobalBuffer, Scalar, FULL_MASK, WARP_SIZE};
+
+/// Widest digit a pass may use: `m = 2^5 = 32` buckets, the most the
+/// `m ≤ 32` fused sweep handles.
+pub const MAX_DIGIT_BITS: u32 = 5;
 
 /// Digit width `b` (buckets per pass `m = 2^b`) used when the caller does
-/// not choose one: the counted-sector sweet spot of the `paper sorttune`
-/// sweep at `n = 2^20`. Seven bits means five passes over full 32-bit
-/// keys, each a fused large-m multisplit over 128 buckets. The classic
-/// radix choice of 8 loses here — doubling `m` to 256 shrinks the tiles
-/// the `m × ncols` shared histogram allows and grows the per-tile
-/// look-back records faster than dropping the fifth pass saves, costing
-/// ~26% more counted sectors than b = 7.
-pub const DEFAULT_DIGIT_BITS: u32 = 7;
+/// not choose one: the K40c modeled-time minimum of the `paper sorttune`
+/// sweep at `n = 2^16` and `n = 2^20`. Five bits means seven sweeps over
+/// full 32-bit keys (six of 32 buckets, one of 4), all on the
+/// memory-bound `m ≤ 32` fused path. Narrower digits add passes; wider
+/// ones would put passes on the compute-bound large-m path (its lane,
+/// shared-memory and barrier work make a b = 7 sort of 2^20 pairs 2.4x
+/// slower on the modeled K40c).
+pub const DEFAULT_DIGIT_BITS: u32 = MAX_DIGIT_BITS;
 
-/// Thread-coarsening of the small ms-sort utility kernels (bit-range
-/// reduction, copy): chunks of 32 elements per warp per tile.
+/// Keys one `ms_sort/pre-scan` block counts.
+pub const HISTOGRAM_TILE: usize = 16_384;
+
+/// Thread-coarsening of the small ms-sort copy kernel: chunks of 32
+/// elements per warp per tile.
 const UTIL_ITEMS_PER_THREAD: usize = 8;
-
-/// Largest digit width whose `2^b`-bucket pass still dispatches to a
-/// fused path at this block size and payload width (`value_bytes = 0` for
-/// key-only passes, `V::BYTES` otherwise). Widths up to 5 always fit
-/// ([`Method::Fused`]); beyond that the fused large-m sweep's shared
-/// memory bounds `m`, and the bound shrinks with the payload staging.
-pub fn max_digit_bits(wpb: usize, value_bytes: u64) -> u32 {
-    let cap = multisplit::fused_max_buckets_bytes(wpb, value_bytes);
-    let large = 31 - cap.leading_zeros(); // floor(log2 cap)
-    large.max(5)
-}
 
 /// Bits needed to address `n` rows: `ceil(log2 n)` (0 for `n <= 1`).
 pub fn index_bits(n: usize) -> u32 {
@@ -84,62 +82,121 @@ pub fn index_bits(n: usize) -> u32 {
     }
 }
 
-/// One counted reduction over the keys returning the *effective* key
-/// width: the bit position of the highest bit set in any key (`32 -
-/// leading_zeros(OR of all keys)`). Per-warp register OR, shuffle
-/// reduction, one global `atomicMin` of the complement per block —
-/// `O(blocks)` atomic traffic on top of one coalesced read of the keys.
-pub fn effective_key_bits(dev: &Device, keys: &GlobalBuffer<u32>, n: usize, wpb: usize) -> u32 {
-    if n == 0 {
-        return 0;
-    }
+/// The digits of the key field `[lo_bit, lo_bit + bits)` at width
+/// `digit_bits`, LSB-first; the last one is narrower when `digit_bits`
+/// does not divide `bits`.
+fn digits(lo_bit: u32, bits: u32, digit_bits: u32) -> Vec<DigitBuckets> {
+    let hi = lo_bit + bits;
+    (lo_bit..hi)
+        .step_by(digit_bits as usize)
+        .map(|shift| DigitBuckets::new(shift, digit_bits.min(hi - shift)))
+        .collect()
+}
+
+fn check_field(lo_bit: u32, bits: u32, digit_bits: u32) {
+    assert!(
+        lo_bit + bits <= 32,
+        "bit field [{lo_bit}, {lo_bit}+{bits}) exceeds the key width"
+    );
+    assert!(
+        (1..=MAX_DIGIT_BITS).contains(&digit_bits),
+        "digit width {digit_bits} outside 1..={MAX_DIGIT_BITS} (a pass sweeps at most 32 buckets)"
+    );
+}
+
+/// Bucket totals of every digit of the key field `[lo_bit, lo_bit +
+/// bits)` at width `digit_bits`, from one counted read of the keys
+/// (`ms_sort/pre-scan`). Returns one vector per digit, LSB-first, with
+/// `2^width` counts each; no launch when `n == 0` or `bits == 0`.
+///
+/// Each block counts a [`HISTOGRAM_TILE`]-key tile into lane-private
+/// shared counters: lane `l`'s count of histogram row `r` (digit `d`,
+/// bucket `v` → `r = row0(d) + v`) sits at `r * 32 + l`, so every
+/// warp-wide shared `atomicAdd` hits 32 distinct banks and no two lanes
+/// ever share a word — no bank conflicts, no same-word serialization.
+/// The block then reduces each row's 32 lane counters with a shuffle and
+/// adds the row totals into the global histogram, one coalesced
+/// warp-wide `atomicAdd` per 32 rows. u32 adds commute, so the totals and
+/// their billing are schedule-independent.
+pub fn digit_histograms(
+    dev: &Device,
+    keys: &GlobalBuffer<u32>,
+    n: usize,
+    lo_bit: u32,
+    bits: u32,
+    digit_bits: u32,
+    wpb: usize,
+) -> Vec<Vec<u32>> {
+    check_field(lo_bit, bits, digit_bits);
     assert!(keys.len() >= n, "key buffer shorter than n");
-    // atomicMin of !x over blocks: the final complement is the lane-wise
-    // OR's upper envelope — same leading-zero count as the true OR.
-    let inv = GlobalBuffer::<u32>::from_slice(&[u32::MAX]);
-    let ipt = UTIL_ITEMS_PER_THREAD;
-    let tile = wpb * WARP_SIZE * ipt;
-    dev.launch("ms_sort/bits", n.div_ceil(tile), wpb, |blk| {
-        let nw = blk.warps_per_block;
-        let warp_or = blk.alloc_shared::<u32>(nw);
-        let tile_start = blk.block_id * tile;
-        for w in blk.warps() {
-            let mut acc = [0u32; WARP_SIZE];
-            for c in 0..ipt {
-                let base = tile_start + (w.warp_id * ipt + c) * WARP_SIZE;
-                let mask = tail_mask(base, n);
-                if mask == 0 {
-                    break;
+    let digits = digits(lo_bit, bits, digit_bits);
+    // First histogram row of each digit, and the total row count.
+    let mut row0 = Vec::with_capacity(digits.len());
+    let mut nrows = 0usize;
+    for d in &digits {
+        row0.push(nrows);
+        nrows += d.num_buckets() as usize;
+    }
+    let hist = GlobalBuffer::<u32>::zeroed(nrows);
+    if n > 0 && nrows > 0 {
+        dev.launch("ms_sort/pre-scan", n.div_ceil(HISTOGRAM_TILE), wpb, |blk| {
+            let nw = blk.warps_per_block;
+            let counters = blk.alloc_shared::<u32>(nrows * WARP_SIZE);
+            let lane_slots = |r: usize| lanes_from_fn(|l| r * WARP_SIZE + l);
+            for w in blk.warps() {
+                for r in (w.warp_id..nrows).step_by(nw) {
+                    counters.st(lane_slots(r), [0; WARP_SIZE], FULL_MASK);
                 }
-                let idx = lanes_from_fn(|j| if base + j < n { base + j } else { base });
-                let k = w.gather(keys, idx, mask);
-                acc = lanes_from_fn(|l| {
-                    if mask >> l & 1 == 1 {
-                        acc[l] | k[l]
-                    } else {
-                        acc[l]
+            }
+            blk.sync();
+            let tile_start = blk.block_id * HISTOGRAM_TILE;
+            let tile_end = (tile_start + HISTOGRAM_TILE).min(n);
+            for w in blk.warps() {
+                for base in (tile_start + w.warp_id * WARP_SIZE..tile_end).step_by(nw * WARP_SIZE) {
+                    let mask = tail_mask(base, tile_end);
+                    let idx = lanes_from_fn(|j| if base + j < tile_end { base + j } else { base });
+                    let k = w.gather(keys, idx, mask);
+                    for (d, &r0) in digits.iter().zip(&row0) {
+                        let slot =
+                            lanes_from_fn(|l| (r0 + d.bucket_of(k[l]) as usize) * WARP_SIZE + l);
+                        counters.atomic_add(slot, [1; WARP_SIZE], mask);
                     }
-                });
-                w.charge(mask.count_ones() as u64);
+                    // Digit extraction: shift, mask, row offset per digit.
+                    w.charge(digits.len() as u64 * mask.count_ones() as u64);
+                }
             }
-            warp_or.set(w.warp_id, warp_scan::reduce_max(&w, acc));
-        }
-        blk.sync();
-        {
-            let w = blk.warp(0);
-            let mut block_or = 0u32;
-            for i in 0..nw {
-                block_or |= warp_or.get(i);
+            blk.sync();
+            for w in blk.warps() {
+                for g in (w.warp_id..nrows.div_ceil(WARP_SIZE)).step_by(nw) {
+                    let rows = (nrows - g * WARP_SIZE).min(WARP_SIZE);
+                    let mut sums = [0u32; WARP_SIZE];
+                    for (j, sum) in sums.iter_mut().enumerate().take(rows) {
+                        let c = counters.ld(lane_slots(g * WARP_SIZE + j), FULL_MASK);
+                        *sum = warp_scan::reduce_add(&w, c);
+                    }
+                    w.atomic_add(
+                        &hist,
+                        lanes_from_fn(|j| g * WARP_SIZE + j.min(rows - 1)),
+                        sums,
+                        low_lanes_mask(rows),
+                    );
+                }
             }
-            w.charge(nw as u64);
-            w.atomic_min(&inv, splat(0), splat(!block_or), 1);
-        }
-    });
-    32 - (!inv.get(0)).leading_zeros()
+        });
+    }
+    digits
+        .iter()
+        .zip(&row0)
+        .map(|(d, &r0)| {
+            (r0..r0 + d.num_buckets() as usize)
+                .map(|r| hist.get(r))
+                .collect()
+        })
+        .collect()
 }
 
 /// Counted streaming copy into a fresh tracked buffer — the zero-pass
-/// result path (`bits == 0`), so callers always get buffers they own.
+/// result path (no live digit), so callers always get buffers they own.
 fn copy_out<T: Scalar>(
     dev: &Device,
     src: &GlobalBuffer<T>,
@@ -171,13 +228,15 @@ fn copy_out<T: Scalar>(
 }
 
 /// The ms-sort engine: stable LSB radix sort of the key bit field
-/// `[lo_bit, lo_bit + bits)` in `ceil(bits / digit_bits)` fused multisplit
-/// passes, ping-ponging between two internally-allocated output buffers so
-/// each pass scatters directly into the next pass's input. Bits outside
-/// the field ride along untouched (the reduced-bit paths sort
-/// `[index_bits, index_bits + label_bits)` and keep the packed index
-/// intact). Returns the sorted keys and, when given, the payload values
-/// permuted alongside.
+/// `[lo_bit, lo_bit + bits)` at `digit_bits` bits per digit. One
+/// [`digit_histograms`] launch counts every digit; each live digit (one
+/// whose keys span more than one bucket) then runs one fused sweep,
+/// ping-ponging between two internally-allocated output buffers so each
+/// pass scatters directly into the next pass's input. Bits outside the
+/// field ride along untouched (the reduced-bit paths sort `[index_bits,
+/// index_bits + label_bits)` and keep the packed index intact). Returns
+/// the sorted keys and, when given, the payload values permuted
+/// alongside.
 #[allow(clippy::too_many_arguments)]
 pub fn sort_by_bit_range_with<V: Scalar>(
     dev: &Device,
@@ -189,30 +248,34 @@ pub fn sort_by_bit_range_with<V: Scalar>(
     digit_bits: u32,
     wpb: usize,
 ) -> (GlobalBuffer<u32>, Option<GlobalBuffer<V>>) {
-    assert!(
-        lo_bit + bits <= 32,
-        "bit field [{lo_bit}, {lo_bit}+{bits}) exceeds the key width"
-    );
-    let vb = if values.is_some() { V::BYTES } else { 0 };
-    assert!(
-        (1..=max_digit_bits(wpb, vb)).contains(&digit_bits),
-        "digit width {digit_bits} outside 1..={} for wpb={wpb}, value_bytes={vb}",
-        max_digit_bits(wpb, vb)
-    );
+    check_field(lo_bit, bits, digit_bits);
     assert!(keys.len() >= n, "key buffer shorter than n");
+    if let Some(v) = values {
+        assert!(
+            v.len() >= n,
+            "payload buffer shorter than n ({} < {n})",
+            v.len()
+        );
+    }
     if n == 0 {
         return (
             GlobalBuffer::zeroed(0),
             values.map(|_| GlobalBuffer::zeroed(0)),
         );
     }
-    if bits == 0 {
+    let hists = digit_histograms(dev, keys, n, lo_bit, bits, digit_bits, wpb);
+    let live: Vec<(DigitBuckets, Vec<u32>)> = digits(lo_bit, bits, digit_bits)
+        .into_iter()
+        .zip(hists)
+        .filter(|(_, h)| !h.contains(&(n as u32)))
+        .collect();
+    if live.is_empty() {
         return (
             copy_out(dev, keys, n, wpb),
             values.map(|v| copy_out(dev, v, n, wpb)),
         );
     }
-    let passes = bits.div_ceil(digit_bits) as usize;
+    let passes = live.len();
     // Two ping-pong buffers (one suffices for a single pass).
     let nbuf = passes.min(2);
     let mut kbufs: Vec<GlobalBuffer<u32>> = (0..nbuf)
@@ -223,20 +286,7 @@ pub fn sort_by_bit_range_with<V: Scalar>(
             .map(|_| GlobalBuffer::zeroed(n).tracked())
             .collect()
     });
-    for pass in 0..passes {
-        let shift = lo_bit + pass as u32 * digit_bits;
-        let width = digit_bits.min(lo_bit + bits - shift);
-        let bucket = DigitBuckets::new(shift, width);
-        // auto_for under the fused pipeline regardless of the caller's
-        // thread-local pin: only the fused paths can chain into
-        // caller-provided buffers.
-        let method = with_pipeline(Pipeline::Fused, || {
-            Method::auto_for(bucket.num_buckets(), values.is_some(), wpb)
-        });
-        debug_assert!(
-            matches!(method, Method::Fused | Method::FusedLargeM),
-            "digit clamp must keep every pass on a fused path, got {method:?}"
-        );
+    for (pass, (bucket, totals)) in live.iter().enumerate() {
         let dst = pass % nbuf;
         let src = (pass + 1) % nbuf;
         let (kin, vin): (&GlobalBuffer<u32>, Option<&GlobalBuffer<V>>) = if pass == 0 {
@@ -247,14 +297,14 @@ pub fn sort_by_bit_range_with<V: Scalar>(
         // Scope each pass so launch logs (and the bench's per-pass sector
         // breakdown) read "ms_sort/pass2/fused/sweep".
         dev.with_scope(&format!("ms_sort/pass{pass}"), || {
-            multisplit_device_into(
+            multisplit_fused_sweep_into(
                 dev,
-                method,
                 kin,
                 vin,
                 n,
-                &bucket,
+                bucket,
                 wpb,
+                totals,
                 &kbufs[dst],
                 vbufs.as_ref().map(|v| &v[dst]),
             )
@@ -275,10 +325,7 @@ pub fn sort_keys_by_bits(
     bits: u32,
     wpb: usize,
 ) -> GlobalBuffer<u32> {
-    let db = DEFAULT_DIGIT_BITS
-        .min(max_digit_bits(wpb, 0))
-        .min(bits.max(1));
-    sort_by_bit_range_with::<u32>(dev, keys, None, n, 0, bits, db, wpb).0
+    sort_by_bit_range_with::<u32>(dev, keys, None, n, 0, bits, DEFAULT_DIGIT_BITS, wpb).0
 }
 
 /// Stable key–value sort of the low `bits` key bits at the default digit
@@ -291,28 +338,24 @@ pub fn sort_pairs_by_bits<V: Scalar>(
     bits: u32,
     wpb: usize,
 ) -> (GlobalBuffer<u32>, GlobalBuffer<V>) {
-    let db = DEFAULT_DIGIT_BITS
-        .min(max_digit_bits(wpb, V::BYTES))
-        .min(bits.max(1));
-    let (k, v) = sort_by_bit_range_with(dev, keys, Some(values), n, 0, bits, db, wpb);
+    let (k, v) =
+        sort_by_bit_range_with(dev, keys, Some(values), n, 0, bits, DEFAULT_DIGIT_BITS, wpb);
     (k, v.expect("payload present"))
 }
 
-/// Full 32-bit stable key sort with the effective-bit-range fast path:
-/// one counted reduction finds the highest live bit, and dead high-bit
-/// passes are skipped entirely.
+/// Full 32-bit stable key sort; digits the data leaves constant (e.g. the
+/// dead high bits of small keys) are skipped.
 pub fn sort_keys(
     dev: &Device,
     keys: &GlobalBuffer<u32>,
     n: usize,
     wpb: usize,
 ) -> GlobalBuffer<u32> {
-    let eff = effective_key_bits(dev, keys, n, wpb);
-    sort_keys_by_bits(dev, keys, n, eff, wpb)
+    sort_keys_by_bits(dev, keys, n, 32, wpb)
 }
 
-/// Full 32-bit stable key–value sort with the effective-bit-range fast
-/// path. Stability: pairs with equal keys keep their input order.
+/// Full 32-bit stable key–value sort; constant digits are skipped.
+/// Stability: pairs with equal keys keep their input order.
 pub fn sort_pairs<V: Scalar>(
     dev: &Device,
     keys: &GlobalBuffer<u32>,
@@ -320,8 +363,7 @@ pub fn sort_pairs<V: Scalar>(
     n: usize,
     wpb: usize,
 ) -> (GlobalBuffer<u32>, GlobalBuffer<V>) {
-    let eff = effective_key_bits(dev, keys, n, wpb);
-    sort_pairs_by_bits(dev, keys, values, n, eff, wpb)
+    sort_pairs_by_bits(dev, keys, values, n, 32, wpb)
 }
 
 /// Host-convenience full key sort: upload, sort, download.
@@ -461,10 +503,8 @@ pub fn argsort_by_bits(
             }
         });
     }
-    let db = DEFAULT_DIGIT_BITS
-        .min(max_digit_bits(wpb, 0))
-        .min(key_bits.max(1));
-    let (sorted, _) = sort_by_bit_range_with::<u32>(dev, &packed, None, n, ib, key_bits, db, wpb);
+    let (sorted, _) =
+        sort_by_bit_range_with::<u32>(dev, &packed, None, n, ib, key_bits, DEFAULT_DIGIT_BITS, wpb);
     Some(Argsort {
         packed: sorted,
         idx_bits: ib,
@@ -535,42 +575,105 @@ mod tests {
             let out = sort_keys(&dev, &keys, n, 8);
             let launches = dev.records().len() - launches_before;
             assert_eq!(out.to_vec(), host_sorted(&data), "range={range_bits}");
-            // 1 bits-reduction + 2 per pass.
+            // 1 digit histogram + 1 sweep per live digit; the digits above
+            // the range hold every key in bucket 0 and are skipped.
             let expect_passes = range_bits.div_ceil(DEFAULT_DIGIT_BITS) as usize;
-            assert_eq!(launches, 1 + 2 * expect_passes, "range={range_bits}");
+            assert_eq!(launches, 1 + expect_passes, "range={range_bits}");
+        }
+    }
+
+    /// Per-digit bucket counts of `data` over `[lo_bit, lo_bit + bits)`,
+    /// counted on the host.
+    fn host_histograms(data: &[u32], lo_bit: u32, bits: u32, digit_bits: u32) -> Vec<Vec<u32>> {
+        digits(lo_bit, bits, digit_bits)
+            .iter()
+            .map(|d| {
+                let mut h = vec![0u32; d.num_buckets() as usize];
+                for &k in data {
+                    h[d.bucket_of(k) as usize] += 1;
+                }
+                h
+            })
+            .collect()
+    }
+
+    #[test]
+    fn digit_histograms_match_the_host_counts() {
+        let dev = Device::new(K40C);
+        for n in [1usize, 31, HISTOGRAM_TILE - 1, HISTOGRAM_TILE + 1, 10_000] {
+            let data = keys_for(n, n as u32);
+            let keys = GlobalBuffer::from_slice(&data);
+            for digit_bits in 1..=MAX_DIGIT_BITS {
+                for (lo_bit, bits) in [(0u32, 32u32), (3, 29), (7, 13)] {
+                    let got = digit_histograms(&dev, &keys, n, lo_bit, bits, digit_bits, 8);
+                    assert_eq!(
+                        got,
+                        host_histograms(&data, lo_bit, bits, digit_bits),
+                        "n={n} b={digit_bits} field=[{lo_bit}, {lo_bit}+{bits})"
+                    );
+                }
+            }
         }
     }
 
     #[test]
-    fn effective_bits_match_the_data() {
+    fn digit_histogram_is_one_conflict_free_launch() {
         let dev = Device::new(K40C);
-        let data = [0u32, 5, 1 << 13, 900];
-        let keys = GlobalBuffer::from_slice(&data);
-        assert_eq!(effective_key_bits(&dev, &keys, 4, 8), 14);
-        let zeros = GlobalBuffer::from_slice(&[0u32; 100]);
-        assert_eq!(effective_key_bits(&dev, &zeros, 100, 8), 0);
-        assert_eq!(effective_key_bits(&dev, &zeros, 0, 8), 0);
-        let big = GlobalBuffer::from_slice(&[u32::MAX]);
-        assert_eq!(effective_key_bits(&dev, &big, 1, 8), 32);
-        // Large enough for several blocks: the atomic combine across
-        // blocks must preserve the envelope.
-        let n = 100_000;
-        let data = keys_for(n, 3);
-        let hi = data.iter().copied().max().unwrap();
-        let keys = GlobalBuffer::from_slice(&data);
-        assert_eq!(
-            effective_key_bits(&dev, &keys, n, 8),
-            32 - hi.leading_zeros()
-        );
+        let n = 3 * HISTOGRAM_TILE + 5;
+        let keys = GlobalBuffer::from_slice(&keys_for(n, 8));
+        let h = digit_histograms(&dev, &keys, n, 0, 32, 5, 8);
+        assert_eq!(h.len(), 7);
+        assert_eq!(h[6].len(), 4, "the last digit holds the two top bits");
+        let recs = dev.records();
+        assert_eq!(recs.len(), 1);
+        assert_eq!(recs[0].label, "ms_sort/pre-scan");
+        assert_eq!(recs[0].blocks, 4);
+        assert_eq!(recs[0].stats.smem_bank_conflicts, 0);
+        assert!(digit_histograms(&dev, &keys, 0, 0, 32, 5, 8)
+            .iter()
+            .all(|h| h.iter().all(|&c| c == 0)));
+        assert!(digit_histograms(&dev, &keys, n, 0, 0, 5, 8).is_empty());
+        assert_eq!(dev.records().len(), 1, "no launch for n = 0 or bits = 0");
+    }
+
+    #[test]
+    fn constant_middle_digit_skips_its_sweep_and_stays_stable() {
+        let n = 6000;
+        let vals: Vec<u32> = (0..n as u32).collect();
+        // 15-bit keys: three digits, the middle one [5, 10) live or held
+        // at a constant 0b10110.
+        let varied: Vec<u32> = keys_for(n, 31).iter().map(|k| k & 0x7FFF).collect();
+        let constant: Vec<u32> = varied
+            .iter()
+            .map(|k| (k & !(0x1F << 5)) | (0b10110 << 5))
+            .collect();
+        let mut sweeps = Vec::new();
+        for data in [&varied, &constant] {
+            let dev = Device::new(K40C);
+            let keys = GlobalBuffer::from_slice(data);
+            let values = GlobalBuffer::from_slice(&vals);
+            let (sk, sv) = sort_pairs(&dev, &keys, &values, n, 8);
+            let mut expect: Vec<(u32, u32)> = data.iter().copied().zip(vals.clone()).collect();
+            expect.sort_by_key(|&(k, _)| k);
+            assert_eq!(sk.to_vec(), expect.iter().map(|p| p.0).collect::<Vec<_>>());
+            assert_eq!(sv.to_vec(), expect.iter().map(|p| p.1).collect::<Vec<_>>());
+            let recs = dev.records();
+            assert_eq!(recs[0].label, "ms_sort/pre-scan");
+            assert!(recs[1..].iter().all(|r| r.label.ends_with("/fused/sweep")));
+            sweeps.push(recs.len() - 1);
+        }
+        assert_eq!(sweeps, vec![3, 2], "the constant digit costs no sweep");
     }
 
     #[test]
     fn all_equal_keys_need_no_data_passes() {
         let dev = Device::new(K40C);
-        let data = vec![0u32; 5000];
+        let data = vec![0xABCD_0123u32; 5000];
         let keys = GlobalBuffer::from_slice(&data);
         let out = sort_keys(&dev, &keys, 5000, 8);
         assert_eq!(out.to_vec(), data);
+        let labels: Vec<String> = dev.records().iter().map(|r| r.label.clone()).collect();
+        assert_eq!(labels, vec!["ms_sort/pre-scan", "ms_sort/copy"]);
     }
 
     #[test]
@@ -580,10 +683,18 @@ mod tests {
         let data = keys_for(n, 17);
         let keys = GlobalBuffer::from_slice(&data);
         let expect = host_sorted(&data);
-        for b in 1..=max_digit_bits(8, 0) {
+        for b in 1..=MAX_DIGIT_BITS {
             let (out, _) = sort_by_bit_range_with::<u32>(&dev, &keys, None, n, 0, 32, b, 8);
             assert_eq!(out.to_vec(), expect, "digit width {b}");
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "digit width 6 outside 1..=5")]
+    fn digit_width_above_the_sweep_cap_is_rejected() {
+        let dev = Device::new(K40C);
+        let keys = GlobalBuffer::from_slice(&keys_for(100, 1));
+        sort_by_bit_range_with::<u32>(&dev, &keys, None, 100, 0, 32, 6, 8);
     }
 
     #[test]
@@ -699,17 +810,6 @@ mod tests {
             sectors[0], sectors[1],
             "sector counts are schedule-independent"
         );
-    }
-
-    #[test]
-    fn digit_cap_respects_payload_width() {
-        // u64 staging shrinks the fused large-m capacity, so the cap for
-        // 8-byte payloads can never exceed the key-only cap.
-        for wpb in [1usize, 2, 8, 16, 32] {
-            assert!(max_digit_bits(wpb, 8) <= max_digit_bits(wpb, 4));
-            assert!(max_digit_bits(wpb, 4) <= max_digit_bits(wpb, 0));
-            assert!(max_digit_bits(wpb, 8) >= 5, "Fused always handles b <= 5");
-        }
     }
 
     #[test]

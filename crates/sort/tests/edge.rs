@@ -1,10 +1,12 @@
 //! Property and edge-case tests for ms-sort, exercised through the
 //! public API only: degenerate sizes, pathological orders, the zero-bit
-//! range, the Fused → FusedLargeM digit-width crossover, and stability.
+//! range, the launch shape of every digit width, dead-digit skipping,
+//! caller-contract errors, and stability.
 
 use ms_sort::{
-    argsort_by_bits, effective_key_bits, sort_by_bit_range_with, sort_keys, sort_keys_host,
-    sort_pairs, sort_pairs_by_bits, sort_pairs_host, sort_pairs_reduced_bit,
+    argsort_by_bits, digit_histograms, sort_by_bit_range_with, sort_keys, sort_keys_by_bits,
+    sort_keys_host, sort_pairs, sort_pairs_by_bits, sort_pairs_host, sort_pairs_reduced_bit,
+    MAX_DIGIT_BITS,
 };
 use simt::{Device, GlobalBuffer, K40C};
 
@@ -57,9 +59,8 @@ fn reverse_sorted_input_gets_reversed() {
 #[test]
 fn all_equal_keys_keep_payload_order() {
     // Every key identical: a stable sort must return the payloads in
-    // their original order, and the effective-bit fast path means the
-    // sort itself does no digit passes (only the bits reduction sees
-    // the data... plus the final copy).
+    // their original order, and since every digit holds all keys in one
+    // bucket the sort runs no sweep (the histogram plus the final copy).
     let d = dev();
     let n = 2000;
     let keys = vec![0xABCD_0123u32; n];
@@ -85,42 +86,26 @@ fn zero_bit_range_is_the_identity() {
 }
 
 #[test]
-fn crossover_digit_widths_agree_and_dispatch_differently() {
-    // b=5 is the last width on the Fused path (m = 32); b=6 is the first
-    // on FusedLargeM (m = 64). Same sorted output, different kernels.
-    // 24-bit keys: b=6 divides evenly (4 large-m passes, no narrow tail
-    // pass that would drop back to Fused), b=5 runs 5,5,5,5,4 all-Fused.
+fn every_digit_width_is_one_histogram_then_fused_sweeps() {
+    // 24-bit keys at every width b <= 5: one `ms_sort/pre-scan` launch,
+    // then exactly ceil(24 / b) m <= 32 fused sweeps — no per-pass
+    // pre-scan and no large-m kernel. Every width sorts identically.
     let n = 4000;
     let input: Vec<u32> = scrambled(n, 4).iter().map(|k| k & 0xFF_FFFF).collect();
     let mut expect = input.clone();
     expect.sort_unstable();
-
-    let mut outputs = Vec::new();
-    for digit_bits in [5u32, 6] {
+    for digit_bits in 1..=MAX_DIGIT_BITS {
         let d = dev();
         let keys = GlobalBuffer::from_slice(&input);
         let (sk, _) = sort_by_bit_range_with::<u32>(&d, &keys, None, n, 0, 24, digit_bits, WPB);
+        assert_eq!(sk.to_vec(), expect, "b={digit_bits}");
         let labels: Vec<String> = d.records().iter().map(|r| r.label.clone()).collect();
-        let fused = labels.iter().any(|l| l.contains("fused/"));
-        let large = labels.iter().any(|l| l.contains("fused_large_m/"));
-        if digit_bits <= 5 {
-            assert!(
-                fused && !large,
-                "b={digit_bits} must stay on Fused: {labels:?}"
-            );
-        } else {
-            assert!(
-                large && !fused,
-                "b={digit_bits} must cross to FusedLargeM: {labels:?}"
-            );
-        }
-        outputs.push(sk.to_vec());
+        let sweeps: Vec<String> = (0..24u32.div_ceil(digit_bits))
+            .map(|p| format!("ms_sort/pass{p}/fused/sweep"))
+            .collect();
+        assert_eq!(labels[0], "ms_sort/pre-scan", "b={digit_bits}");
+        assert_eq!(labels[1..], sweeps[..], "b={digit_bits}");
     }
-    assert_eq!(outputs[0], expect);
-    assert_eq!(
-        outputs[0], outputs[1],
-        "crossover widths must agree bit-for-bit"
-    );
 }
 
 #[test]
@@ -139,27 +124,40 @@ fn sort_pairs_is_stable_under_heavy_duplication() {
 }
 
 #[test]
-fn effective_bits_prune_matches_full_sort() {
-    // Keys confined to 11 bits: sort_keys (auto-pruned) and an explicit
-    // full 32-bit sort must agree, and the pruned run does fewer passes.
+fn dead_high_digits_are_skipped() {
+    // Keys confined to 11 bits: the full 32-bit sort skips every digit
+    // above bit 15 (all keys in bucket 0) and so launches exactly what a
+    // sort told the 11-bit range does — one histogram and three sweeps.
     let n = 3000;
     let input: Vec<u32> = scrambled(n, 5).iter().map(|k| k & 0x7FF).collect();
 
-    let d_auto = dev();
-    let keys = GlobalBuffer::from_slice(&input);
-    assert_eq!(effective_key_bits(&d_auto, &keys, n, WPB), 11);
-    let pruned = sort_keys(&d_auto, &keys, n, WPB).to_vec();
-
     let d_full = dev();
-    let keys_full = GlobalBuffer::from_slice(&input);
-    let (full, _) = sort_by_bit_range_with::<u32>(&d_full, &keys_full, None, n, 0, 32, 8, WPB);
-    assert_eq!(pruned, full.to_vec());
-    assert!(
-        d_auto.records().len() < d_full.records().len(),
-        "pruned sort must launch fewer kernels ({} vs {})",
-        d_auto.records().len(),
-        d_full.records().len()
-    );
+    let keys = GlobalBuffer::from_slice(&input);
+    let hist = digit_histograms(&d_full, &keys, n, 0, 32, 5, WPB);
+    assert!(hist[..3].iter().all(|h| !h.contains(&(n as u32))));
+    assert!(hist[3..].iter().all(|h| h[0] == n as u32));
+    let full = sort_keys(&d_full, &keys, n, WPB).to_vec();
+
+    let d_narrow = dev();
+    let narrow = sort_keys_by_bits(&d_narrow, &keys, n, 11, WPB).to_vec();
+    assert_eq!(full, narrow);
+    let mut expect = input.clone();
+    expect.sort_unstable();
+    assert_eq!(full, expect);
+    // The explicit histogram above, then the sort's own histogram and
+    // three sweeps.
+    assert_eq!(d_full.records().len(), 1 + 1 + 3);
+    assert_eq!(d_narrow.records().len(), 1 + 3);
+}
+
+#[test]
+#[should_panic(expected = "payload buffer shorter than n")]
+fn short_payload_fails_at_the_api_boundary() {
+    let d = dev();
+    let n = 5000;
+    let keys = GlobalBuffer::from_slice(&scrambled(n, 6));
+    let values = GlobalBuffer::<u32>::zeroed(100);
+    let _ = sort_pairs(&d, &keys, &values, n, WPB);
 }
 
 #[test]

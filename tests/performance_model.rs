@@ -12,6 +12,49 @@ fn time(c: Contender, kv: bool, m: u32) -> f64 {
 }
 
 #[test]
+fn ms_sort_beats_radix_sort_on_the_modeled_clock() {
+    // ms-sort (one digit histogram + one m <= 32 fused sweep per live
+    // digit) against the 32-bit three-kernel radix baseline on keys drawn
+    // from 8-, 16- and 32-bit ranges, key-only and key-value, priced on
+    // both profiles. Modeled times are deterministic: compared with no
+    // tolerance.
+    use msrng::SmallRng;
+    use simt::{Device, GlobalBuffer, LaunchRecord};
+    let seconds = |recs: &[LaunchRecord], profile: &simt::DeviceProfile| -> f64 {
+        recs.iter().map(|r| profile.estimate(&r.stats)).sum()
+    };
+    for kv in [false, true] {
+        for key_bits in [8u32, 16, 32] {
+            let mut rng = SmallRng::seed_from_u64(3000 + key_bits as u64);
+            let keys_host: Vec<u32> = (0..N)
+                .map(|_| rng.gen_range(0..(1u64 << key_bits)) as u32)
+                .collect();
+            let values_host: Vec<u32> = (0..N as u32).collect();
+            let keys = GlobalBuffer::from_slice(&keys_host);
+            let values = GlobalBuffer::from_slice(&values_host);
+            let radix = Device::new(K40C);
+            let ms = Device::new(K40C);
+            if kv {
+                baselines::radix_sort(&radix, "radix", &keys, Some(&values), N, 8);
+                ms_sort::sort_pairs(&ms, &keys, &values, N, 8);
+            } else {
+                baselines::radix_sort::<u32>(&radix, "radix", &keys, None, N, 8);
+                ms_sort::sort_keys(&ms, &keys, N, 8);
+            }
+            for profile in [K40C, GTX750TI] {
+                let r = seconds(&radix.records(), &profile);
+                let m = seconds(&ms.records(), &profile);
+                assert!(
+                    m < r,
+                    "{}: ms-sort {m} s !< radix {r} s at {key_bits}-bit keys, kv={kv}",
+                    profile.name
+                );
+            }
+        }
+    }
+}
+
+#[test]
 fn every_multisplit_method_beats_radix_sort_for_small_m() {
     // Paper Table 6: all speedups > 1 for m <= 32.
     for kv in [false, true] {
