@@ -11,20 +11,17 @@
 //!   beats the (label, index)+manual-gather alternative, whose random
 //!   gathers get worse with `m`; the ablation bench compares both.
 //!
-//! The label sort itself is pluggable ([`ReducedBitStrategy`]): the
-//!   default routes through `ms_sort` — fused single-pass multisplit
-//!   digits, so `⌈log2 m⌉ ≤ 8` label bits cost **one** pass with no
-//!   histogram-matrix round-trip — while [`ReducedBitStrategy::Legacy`]
-//!   keeps the original hand-rolled `radix_sort_by_bits` pipeline
-//!   (5-bit three-kernel passes) selectable for the bench comparison.
-//!   The index variant ([`reduced_bit_multisplit_kv_by_index`]) now rides
-//!   [`ms_sort::argsort_by_bits`]: labels and original indices packed into
-//!   a *single* `u32`, payloads permuted once through the sorted indices.
+//! The label sort routes through `ms_sort` — fused single-pass
+//! multisplit digits, so `⌈log2 m⌉ ≤ 8` label bits cost **one** pass with
+//! no histogram-matrix round-trip. (The original hand-rolled
+//! `radix_sort_by_bits` label sort moved 5% more sectors; EXPERIMENTS.md
+//! keeps that comparison.) The index variant
+//! ([`reduced_bit_multisplit_kv_by_index`]) rides
+//! [`ms_sort::argsort_by_bits`]: labels and original indices packed into
+//! a *single* `u32`, payloads permuted once through the sorted indices.
 //!
 //! The extra label/pack/unpack passes are the method's overhead — visible
 //! as the "Labeling" and "(un)Packing" rows of Table 4.
-
-use std::cell::Cell;
 
 use simt::{blocks_for, lanes_from_fn, Device, GlobalBuffer, WARP_SIZE};
 
@@ -32,42 +29,6 @@ use multisplit::BucketFn;
 use primitives::tail_mask;
 
 use crate::radix_sort::radix_sort_by_bits;
-
-/// Which pipeline sorts the labels in `reduced_bit_multisplit{,_kv}`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ReducedBitStrategy {
-    /// Labels sorted by `ms_sort` fused multisplit digits (default:
-    /// one fused pass for `m <= 256`, no histogram-matrix round-trip).
-    #[default]
-    MsSort,
-    /// The original hand-rolled pipeline over
-    /// [`radix_sort_by_bits`] (5-bit three-kernel passes). Kept
-    /// selectable as the bench comparison point.
-    Legacy,
-}
-
-thread_local! {
-    static STRATEGY: Cell<ReducedBitStrategy> = const { Cell::new(ReducedBitStrategy::MsSort) };
-}
-
-/// The label-sort pipeline currently selected (per host thread).
-pub fn reduced_bit_strategy() -> ReducedBitStrategy {
-    STRATEGY.with(Cell::get)
-}
-
-/// Run `f` with the reduced-bit label sort pinned to `s`, restoring the
-/// previous strategy on the way out — including on panic (RAII drop
-/// guard, like `multisplit::with_pipeline`).
-pub fn with_reduced_bit_strategy<R>(s: ReducedBitStrategy, f: impl FnOnce() -> R) -> R {
-    struct Restore(ReducedBitStrategy);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            STRATEGY.with(|c| c.set(self.0));
-        }
-    }
-    let _restore = Restore(STRATEGY.with(|c| c.replace(s)));
-    f()
-}
 
 /// Bits needed to sort `m` labels.
 pub fn label_bits(m: u32) -> u32 {
@@ -173,8 +134,7 @@ fn unpack_kv(
     (out_keys, out_values)
 }
 
-/// Key-only reduced-bit multisplit. Stable. The label sort runs on the
-/// pipeline selected by [`reduced_bit_strategy`].
+/// Key-only reduced-bit multisplit. Stable.
 pub fn reduced_bit_multisplit<B: BucketFn + ?Sized>(
     dev: &Device,
     keys: &GlobalBuffer<u32>,
@@ -185,35 +145,14 @@ pub fn reduced_bit_multisplit<B: BucketFn + ?Sized>(
     let m = bucket.num_buckets();
     let labels = GlobalBuffer::<u32>::zeroed(n);
     write_labels(dev, "reduced/label", keys, &labels, n, bucket, wpb);
-    match reduced_bit_strategy() {
-        ReducedBitStrategy::MsSort => {
-            // Bucket counts are order-independent, so the offsets come
-            // from the unsorted labels — no extra device pass.
-            let offsets = offsets_from_labels(&labels.to_vec(), m as usize);
-            let (_, out_keys) =
-                ms_sort::sort_pairs_by_bits(dev, &labels, keys, n, label_bits(m), wpb);
-            (out_keys, offsets)
-        }
-        ReducedBitStrategy::Legacy => {
-            let (sorted_labels, out_keys) = radix_sort_by_bits(
-                dev,
-                "reduced/sort",
-                &labels,
-                Some(keys),
-                n,
-                label_bits(m),
-                wpb,
-            );
-            (
-                out_keys.expect("payload present"),
-                offsets_from_labels(&sorted_labels.to_vec(), m as usize),
-            )
-        }
-    }
+    // Bucket counts are order-independent, so the offsets come from the
+    // unsorted labels — no extra device pass.
+    let offsets = offsets_from_labels(&labels.to_vec(), m as usize);
+    let (_, out_keys) = ms_sort::sort_pairs_by_bits(dev, &labels, keys, n, label_bits(m), wpb);
+    (out_keys, offsets)
 }
 
-/// Key–value reduced-bit multisplit via 64-bit packing. Stable. The label
-/// sort runs on the pipeline selected by [`reduced_bit_strategy`].
+/// Key–value reduced-bit multisplit via 64-bit packing. Stable.
 pub fn reduced_bit_multisplit_kv<B: BucketFn + ?Sized>(
     dev: &Device,
     keys: &GlobalBuffer<u32>,
@@ -226,30 +165,11 @@ pub fn reduced_bit_multisplit_kv<B: BucketFn + ?Sized>(
     let packed = pack_kv(dev, keys, values, n, wpb);
     let labels = GlobalBuffer::<u32>::zeroed(n);
     write_labels(dev, "reduced/label", keys, &labels, n, bucket, wpb);
-    match reduced_bit_strategy() {
-        ReducedBitStrategy::MsSort => {
-            let offsets = offsets_from_labels(&labels.to_vec(), m as usize);
-            let (_, sorted_packed) =
-                ms_sort::sort_pairs_by_bits(dev, &labels, &packed, n, label_bits(m), wpb);
-            let (out_keys, out_values) = unpack_kv(dev, &sorted_packed, n, wpb);
-            (out_keys, out_values, offsets)
-        }
-        ReducedBitStrategy::Legacy => {
-            let (sorted_labels, sorted_packed) = radix_sort_by_bits(
-                dev,
-                "reduced/sort",
-                &labels,
-                Some(&packed),
-                n,
-                label_bits(m),
-                wpb,
-            );
-            let sorted_packed = sorted_packed.expect("payload present");
-            let (out_keys, out_values) = unpack_kv(dev, &sorted_packed, n, wpb);
-            let offsets = offsets_from_labels(&sorted_labels.to_vec(), m as usize);
-            (out_keys, out_values, offsets)
-        }
-    }
+    let offsets = offsets_from_labels(&labels.to_vec(), m as usize);
+    let (_, sorted_packed) =
+        ms_sort::sort_pairs_by_bits(dev, &labels, &packed, n, label_bits(m), wpb);
+    let (out_keys, out_values) = unpack_kv(dev, &sorted_packed, n, wpb);
+    (out_keys, out_values, offsets)
 }
 
 /// The paper's alternative key–value strategy (§3.4): sort (label, index)
@@ -410,38 +330,6 @@ mod tests {
             permute > 10 * unpack.max(1),
             "random permute waste {permute} should dwarf streaming unpack waste {unpack}"
         );
-    }
-
-    #[test]
-    fn legacy_strategy_still_matches_reference() {
-        // The hand-rolled pipeline stays selectable (and correct) for the
-        // bench comparison against the ms-sort default.
-        let dev = Device::new(K40C);
-        let n = 4000;
-        let bucket = RangeBuckets::new(24);
-        let data = keys_for(n, 3);
-        let vals: Vec<u32> = (0..n as u32).collect();
-        let keys = GlobalBuffer::from_slice(&data);
-        let values = GlobalBuffer::from_slice(&vals);
-        with_reduced_bit_strategy(ReducedBitStrategy::Legacy, || {
-            let (out, offs) = reduced_bit_multisplit(&dev, &keys, n, &bucket, 8);
-            let (expect, expect_offs) = multisplit_ref(&data, &bucket);
-            assert_eq!(out.to_vec(), expect);
-            assert_eq!(offs, expect_offs);
-            // The legacy path actually ran: its three-kernel label sort
-            // leaves "reduced/sort" launch records behind.
-            assert!(dev
-                .records()
-                .iter()
-                .any(|r| r.label.starts_with("reduced/sort")));
-
-            let (ok, ov, offs) = reduced_bit_multisplit_kv(&dev, &keys, &values, n, &bucket, 8);
-            let (ek, ev, eo) = multisplit_kv_ref(&data, Some(&vals), &bucket);
-            assert_eq!(ok.to_vec(), ek);
-            assert_eq!(ov.to_vec(), ev);
-            assert_eq!(offs, eo);
-        });
-        assert_eq!(reduced_bit_strategy(), ReducedBitStrategy::MsSort);
     }
 
     #[test]

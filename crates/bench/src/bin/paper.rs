@@ -22,13 +22,10 @@
 //!   fused       single-pass fused MS vs three-kernel warp/block MS
 //!   largem      fused large-m MS (m > 32, multi-row look-back) vs the
 //!               three-kernel large-m pipeline, m in {64, 128, 256}
-//!   onesweep    single-key-pass onesweep MS (chained tile histograms,
-//!               deferred scatter) vs the fused pipeline: key-read vs
-//!               total sector tradeoff, all-scheduler bit-identity
 //!   sort        ms-sort (multisplit-iterated radix sort, crates/sort) vs
 //!               the CUB-like radix baseline: 8/16/32-bit key ranges, key
 //!               & key-value, per-pass sector breakdown, all-scheduler
-//!               bit-identity, reduced-bit strategy delta
+//!               bit-identity
 //!   sorttune    digit-width sweep behind ms-sort's DEFAULT_DIGIT_BITS:
 //!               passes, counted sectors and modeled time (K40c and
 //!               GTX 750 Ti) for b in 1..=5, key-only and key-value
@@ -40,10 +37,10 @@
 //!               chrome trace with per-tile slices and publisher→resolver
 //!               flow arrows to bench_results/trace_chrome.json
 //!   check       compare per-stage sector counts (n=2^16, m=32, plus a
-//!               large-m section at m=64, an onesweep section at m=32, a
-//!               sort section radix-vs-ms-sort and a serve section
-//!               naive-vs-coalesced) against
-//!               bench_results/baseline_sectors.json; exits 1 on regression
+//!               large-m section at m=64, a sort section radix-vs-ms-sort
+//!               and serve sections naive-vs-coalesced and overlapped)
+//!               against bench_results/baseline_sectors.json, exactly;
+//!               exits 1 on any difference
 //!   fuzz        differential fuzz harness: seeded (n, m, method, distribution,
 //!               schedule) cases across every method, interleaved with ms-sort
 //!               cases (`sort,` tokens) and segmented batches (`seg,` tokens —
@@ -72,7 +69,7 @@
 //!   --no-verify    skip CPU-reference verification of every run
 //!   --trials <k>   average over k seeded trials (default 1)
 //!   --json <path>  additionally write every run + report to <path> as JSON
-//!   --snapshot <s> (profile, largem, onesweep, sort) also write a
+//!   --snapshot <s> (profile, largem, sort) also write a
 //!                  BENCH_<s>.json snapshot at the root
 //!   --update       (check) rewrite the committed baseline from current counts
 //! ```
@@ -1390,177 +1387,6 @@ fn largem_compare(opts: &Opts) {
     metrics::sink_push("largem", doc);
 }
 
-// ====================== Onesweep pipeline ======================
-
-/// The PR-6 tentpole claim under test: the onesweep multisplit (chained
-/// tile histograms, no pre-scan — `onesweep/sweep` + `onesweep/scatter`)
-/// reads the **key buffer** at least 25% fewer DRAM sectors than
-/// `Method::Fused` at m = 32 on the K40c (one key pass vs two; expected
-/// ~50%), with outputs bit-identical to the CPU reference and to the
-/// fused path under sequential, parallel, and all four adversarial
-/// schedulers. Total sectors are reported honestly: the staging
-/// round-trip makes onesweep's *total* traffic higher (~4n words vs
-/// fused's ~3n), which is why `Method::auto` still selects Fused.
-fn onesweep_compare(opts: &Opts) {
-    use multisplit::{multisplit_device, multisplit_ref, no_values, Method, RangeBuckets};
-    use simt::{AdvFlavor, AdvSchedule, BlockStats, Device, GlobalBuffer};
-    let n = opts.n;
-    let mut out = format!(
-        "Onesweep multisplit (single key pass) vs fused pipeline\n\
-         n = 2^{}, m in {{2, 8, 32}}, uniform keys, K40c. `key-read` counts\n\
-         DRAM sectors read from the key buffer itself (fused reads it twice:\n\
-         histogram pre-scan + sweep; onesweep once). `total` counts every\n\
-         counted sector — onesweep's staged round-trip costs more there,\n\
-         which is why Method::auto keeps preferring Fused.\n\n",
-        n.ilog2()
-    );
-    let mut t = Table::new(&[
-        "m",
-        "method",
-        "key-read",
-        "pre",
-        "sweep",
-        "scatter",
-        "total",
-        "key-saved",
-        "ms",
-    ]);
-    let mut rows: Vec<Json> = Vec::new();
-    for m in [2u32, 8, 32] {
-        let keys_host = gen_keys(n, m, Distribution::Uniform, 3000);
-        let bucket = RangeBuckets::new(m);
-        let (expect_keys, expect_offs) = if opts.verify {
-            multisplit_ref(&keys_host, &bucket)
-        } else {
-            (Vec::new(), Vec::new())
-        };
-        let mut fused_key_sectors = 0u64;
-        for method in [Method::Fused, Method::Onesweep] {
-            let dev = Device::new(K40C);
-            let keys = GlobalBuffer::from_slice(&keys_host);
-            let r = multisplit_device(&dev, method, &keys, no_values(), n, &bucket, 8);
-            if opts.verify {
-                assert_eq!(r.keys.to_vec(), expect_keys, "{method:?} m={m}");
-                assert_eq!(r.offsets, expect_offs, "{method:?} m={m}");
-            }
-            let key_read = keys.read_sectors();
-            let stage = |name: &str| -> u64 {
-                dev.records()
-                    .iter()
-                    .filter(|rec| stage_of(&rec.label) == name)
-                    .map(|rec| rec.stats.sectors)
-                    .sum()
-            };
-            let (pre, sweep, scatter) = (stage("pre-scan"), stage("sweep"), stage("scatter"));
-            let total: u64 = dev.records().iter().map(|rec| rec.stats.sectors).sum();
-            if method == Method::Fused {
-                fused_key_sectors = key_read;
-            }
-            let saved_frac = (method == Method::Onesweep && fused_key_sectors > 0)
-                .then(|| 1.0 - key_read as f64 / fused_key_sectors as f64);
-            if method == Method::Onesweep && m == 32 {
-                assert!(
-                    (key_read as f64) <= 0.75 * fused_key_sectors as f64,
-                    "onesweep read {key_read} key sectors vs fused {fused_key_sectors} at \
-                     n={n}, m=32: need >= 25% fewer"
-                );
-            }
-            t.row(vec![
-                m.to_string(),
-                Method::name(&method).into(),
-                key_read.to_string(),
-                pre.to_string(),
-                sweep.to_string(),
-                scatter.to_string(),
-                total.to_string(),
-                saved_frac
-                    .map(|s| format!("{:.1}%", 100.0 * s))
-                    .unwrap_or_default(),
-                ms(dev.total_seconds()),
-            ]);
-            rows.push(Json::Obj(vec![
-                ("m".into(), Json::int(m as u64)),
-                ("method".into(), Json::Str(Method::name(&method).into())),
-                ("key_read_sectors".into(), Json::int(key_read)),
-                ("total_sectors".into(), Json::int(total)),
-                (
-                    "key_saved".into(),
-                    saved_frac.map(Json::Num).unwrap_or(Json::Null),
-                ),
-                ("total_seconds".into(), Json::Num(dev.total_seconds())),
-            ]));
-        }
-    }
-    out.push_str(&t.render());
-    // Scheduler independence: the chained m-row look-back may walk
-    // different paths under every scheduler, but outputs, offsets, and
-    // counted stats must be identical on all six (sequential, parallel,
-    // four adversarial flavors).
-    if opts.verify {
-        let sn = n.min(1 << 16);
-        let m = 32u32;
-        let keys_host = gen_keys(sn, m, Distribution::Uniform, 9);
-        let bucket = RangeBuckets::new(m);
-        let mut runs = Vec::new();
-        let mut sched_names = vec!["parallel".to_string(), "sequential".to_string()];
-        let mut devices = vec![Device::new(K40C), Device::sequential(K40C)];
-        for flavor in AdvFlavor::ALL {
-            sched_names.push(format!("adversarial/{}", flavor.name()));
-            devices.push(Device::adversarial(
-                K40C,
-                AdvSchedule::with_flavor(0xC0FFEE, flavor),
-            ));
-        }
-        for dev in devices {
-            let keys = GlobalBuffer::from_slice(&keys_host);
-            let r = multisplit_device(&dev, Method::Onesweep, &keys, no_values(), sn, &bucket, 8);
-            let stats = dev
-                .records()
-                .iter()
-                .fold(BlockStats::default(), |mut a, rec| {
-                    a += rec.stats;
-                    a
-                });
-            runs.push((r.keys.to_vec(), r.offsets, stats));
-        }
-        for (i, run) in runs.iter().enumerate().skip(1) {
-            assert_eq!(
-                runs[0], *run,
-                "onesweep: {} and {} schedulers diverge",
-                sched_names[0], sched_names[i]
-            );
-        }
-        out.push_str(&format!(
-            "\nonesweep outputs, offsets and counted stats verified bit-identical\n\
-             across {} schedulers ({}) and against the fused path / CPU reference.\n",
-            sched_names.len(),
-            sched_names.join(", ")
-        ));
-    }
-    out.push_str(
-        "\nonesweep reads each key exactly once: the tile histogram rides the\n\
-         look-back records (the last tile's inclusive record IS the global\n\
-         histogram), so the pre-scan disappears. The price is a staged\n\
-         round-trip (write + read n keys) before the deferred scatter —\n\
-         total traffic ~4n words vs fused's ~3n. Use it when key-buffer\n\
-         reads are the scarce resource; Method::auto keeps picking Fused.\n",
-    );
-    emit("onesweep", out);
-    let doc = Json::Obj(vec![
-        ("n".into(), Json::int(n as u64)),
-        ("device".into(), Json::Str(K40C.name.into())),
-        ("rows".into(), Json::Arr(rows)),
-    ]);
-    if let Some(name) = &opts.snapshot {
-        let snap = format!("BENCH_{name}.json");
-        match std::fs::write(&snap, doc.pretty() + "\n") {
-            Ok(()) => println!("[saved {snap}]\n"),
-            Err(e) => println!("[warn: could not save {snap}: {e}]\n"),
-        }
-    }
-    metrics::sink_push("onesweep", doc);
-}
-
 // ====================== ms-sort (iterated multisplit) ======================
 
 /// ms-sort (multisplit-iterated radix sort on the fused sweep) vs the
@@ -1569,8 +1395,7 @@ fn onesweep_compare(opts: &Opts) {
 /// key-only and key-value, with ms-sort's per-pass sector breakdown (each
 /// digit pass is scoped `ms_sort/passK/...`).
 /// Verifies bit-identity with the host stable sort under sequential,
-/// parallel, and all four adversarial schedulers, and reports the
-/// reduced-bit pipeline's MsSort-vs-Legacy strategy delta.
+/// parallel, and all four adversarial schedulers.
 fn sort_cmd(opts: &Opts) {
     use msrng::SmallRng;
     use simt::{AdvFlavor, AdvSchedule, BlockStats, Device, GlobalBuffer};
@@ -1790,48 +1615,6 @@ fn sort_cmd(opts: &Opts) {
         ));
     }
 
-    // The reduced-bit pipeline rides ms-sort by default; the old
-    // label-sort-via-radix pipeline survives as an explicit strategy.
-    {
-        use baselines::{with_reduced_bit_strategy, ReducedBitStrategy};
-        use multisplit::RangeBuckets;
-        let rn = n.min(1 << 18);
-        let m = 32u32;
-        let keys_host = gen_keys(rn, m, Distribution::Uniform, 3000);
-        let values_host = gen_values(rn);
-        let bucket = RangeBuckets::new(m);
-        out.push_str(&format!(
-            "\nreduced-bit multisplit (key-value, m = {m}, n = 2^{}) by strategy:\n",
-            rn.ilog2()
-        ));
-        let mut strat_rows: Vec<Json> = Vec::new();
-        for (strategy, name) in [
-            (ReducedBitStrategy::MsSort, "ms-sort"),
-            (ReducedBitStrategy::Legacy, "legacy"),
-        ] {
-            let dev = Device::new(K40C);
-            let keys = GlobalBuffer::from_slice(&keys_host);
-            let values = GlobalBuffer::from_slice(&values_host);
-            let _ = with_reduced_bit_strategy(strategy, || {
-                baselines::reduced_bit_multisplit_kv(&dev, &keys, &values, rn, &bucket, wpb)
-            });
-            let total: u64 = dev.records().iter().map(|rec| rec.stats.sectors).sum();
-            out.push_str(&format!(
-                "  {name:>8}: {total} sectors, {} ms\n",
-                ms(dev.total_seconds())
-            ));
-            strat_rows.push(Json::Obj(vec![
-                ("strategy".into(), Json::Str(name.into())),
-                ("total_sectors".into(), Json::int(total)),
-                ("total_seconds".into(), Json::Num(dev.total_seconds())),
-            ]));
-        }
-        rows.push(Json::Obj(vec![(
-            "reduced_bit_strategies".into(),
-            Json::Arr(strat_rows),
-        )]));
-    }
-
     emit("sort", out);
     let doc = Json::Obj(vec![
         ("n".into(), Json::int(n as u64)),
@@ -2031,8 +1814,8 @@ fn profile_cmd(opts: &Opts) {
 
 // ====================== Trace (flight recorder) ======================
 
-/// Causal tracing from the flight recorder: run the three single-pass
-/// look-back contenders (fused, fused-large-m, onesweep) on the
+/// Causal tracing from the flight recorder: run the two single-pass
+/// look-back contenders (fused, fused-large-m) on the
 /// sequential scheduler with per-block telemetry, derive each look-back
 /// launch's tile dependency DAG and **exact** critical path from the
 /// recorded event stream, and compare against `launch_report`'s modeled
@@ -2042,10 +1825,9 @@ fn profile_cmd(opts: &Opts) {
 /// resolver edge.
 fn trace_cmd(opts: &Opts) {
     let n = opts.n.min(1 << 20);
-    let runs: [(Contender, &'static str, u32); 3] = [
+    let runs: [(Contender, &'static str, u32); 2] = [
         (Contender::Fused, "fused", 32),
         (Contender::FusedLargeM, "fused-large-m", 64),
-        (Contender::Onesweep, "onesweep", 32),
     ];
     let mut out = format!(
         "Trace: flight-recorder causal analysis, n = 2^{}, seed {}, sequential schedule\n\
@@ -2153,12 +1935,12 @@ fn trace_cmd(opts: &Opts) {
 // ====================== Check (sector regression gate) ======================
 
 /// Compare the four `m <= 32` contenders' per-stage sector counts at
-/// n = 2^16, m = 32 — plus the `largem` section's three-kernel vs fused
-/// large-m pair at n = 2^16, m = 64 — against the committed
-/// `bench_results/baseline_sectors.json` with a ±2% tolerance; exit 1 on
-/// regression. Sectors are schedule-independent, so this is a meaningful
-/// Rust-only CI gate. `--update` rewrites the baseline from the current
-/// counts instead.
+/// n = 2^16, m = 32 — plus the `largem` (three-kernel vs fused large-m at
+/// m = 64), `sort`, `serve` and `serve_overlap` sections — against the
+/// committed `bench_results/baseline_sectors.json`, exactly; exit 1 on
+/// any difference. Every gated count is a deterministic function of the
+/// seed, so a tolerance would only let regressions through. `--update`
+/// rewrites the baseline from the current counts instead.
 fn check_cmd(opts: &Opts) {
     let n = 1usize << 16;
     let m = 32u32;
@@ -2166,27 +1948,32 @@ fn check_cmd(opts: &Opts) {
     let path = std::path::Path::new("bench_results/baseline_sectors.json");
     println!(
         "check: per-stage sector counts, n = 2^16, m = {m} (largem section: m = {largem_m}), \
-         seed {}, tolerance ±2%",
+         seed {}, exact",
         metrics::PROFILE_SEED
     );
-    let mut current = metrics::sector_baseline_current(n, m);
-    let largem_current = metrics::largem_sector_baseline_current(n, largem_m);
-    let onesweep_current = metrics::onesweep_sector_baseline_current(n, m);
-    let sort_current = metrics::sort_sector_baseline_current(n, m);
-    let serve_current = metrics::serve_sector_baseline_current();
-    let serve_overlap_current = metrics::serve_overlap_baseline_current();
-    if let Json::Obj(fields) = &mut current {
-        fields.push(("largem".into(), largem_current.clone()));
-        fields.push(("onesweep".into(), onesweep_current.clone()));
-        fields.push(("sort".into(), sort_current.clone()));
-        fields.push(("serve".into(), serve_current.clone()));
-        fields.push(("serve_overlap".into(), serve_overlap_current.clone()));
-    }
+    // The root section ("") is the baseline document itself; the others
+    // are its named fields.
+    let sections = [
+        ("", metrics::sector_baseline_current(n, m)),
+        (
+            "largem",
+            metrics::largem_sector_baseline_current(n, largem_m),
+        ),
+        ("sort", metrics::sort_sector_baseline_current(n, m)),
+        ("serve", metrics::serve_sector_baseline_current()),
+        ("serve_overlap", metrics::serve_overlap_baseline_current()),
+    ];
     if opts.update {
+        let mut doc = sections[0].1.clone();
+        if let Json::Obj(fields) = &mut doc {
+            for (name, current) in &sections[1..] {
+                fields.push(((*name).into(), current.clone()));
+            }
+        }
         if let Some(parent) = path.parent() {
             let _ = std::fs::create_dir_all(parent);
         }
-        std::fs::write(path, current.pretty() + "\n").expect("cannot write baseline");
+        std::fs::write(path, doc.pretty() + "\n").expect("cannot write baseline");
         println!("[wrote {}]", path.display());
         return;
     }
@@ -2198,72 +1985,32 @@ fn check_cmd(opts: &Opts) {
         std::process::exit(1);
     });
     let baseline = simt::Json::parse(&text).expect("committed baseline is not valid JSON");
-    let mut notes = Vec::new();
     let mut failures = Vec::new();
-    match metrics::sector_baseline_compare(&current, &baseline, 0.02) {
-        Ok(ns) => notes.extend(ns),
-        Err(fs) => failures.extend(fs),
-    }
-    match baseline.get("largem") {
-        Some(largem_base) => {
-            match metrics::sector_baseline_compare(&largem_current, largem_base, 0.02) {
-                Ok(ns) => notes.extend(ns.into_iter().map(|s| format!("largem: {s}"))),
-                Err(fs) => failures.extend(fs.into_iter().map(|s| format!("largem: {s}"))),
+    for (name, current) in &sections {
+        let (base, prefix) = if name.is_empty() {
+            (Some(&baseline), String::new())
+        } else {
+            (baseline.get(name), format!("{name}: "))
+        };
+        match base {
+            Some(base) => {
+                if let Err(fs) = metrics::sector_baseline_compare(current, base) {
+                    failures.extend(fs.into_iter().map(|f| format!("{prefix}{f}")));
+                }
             }
+            None => failures.push(format!(
+                "baseline has no `{name}` section; refresh with `paper check --update`"
+            )),
         }
-        None => failures
-            .push("baseline has no `largem` section; refresh with `paper check --update`".into()),
-    }
-    match baseline.get("onesweep") {
-        Some(onesweep_base) => {
-            match metrics::sector_baseline_compare(&onesweep_current, onesweep_base, 0.02) {
-                Ok(ns) => notes.extend(ns.into_iter().map(|s| format!("onesweep: {s}"))),
-                Err(fs) => failures.extend(fs.into_iter().map(|s| format!("onesweep: {s}"))),
-            }
-        }
-        None => failures
-            .push("baseline has no `onesweep` section; refresh with `paper check --update`".into()),
-    }
-    match baseline.get("sort") {
-        Some(sort_base) => match metrics::sector_baseline_compare(&sort_current, sort_base, 0.02) {
-            Ok(ns) => notes.extend(ns.into_iter().map(|s| format!("sort: {s}"))),
-            Err(fs) => failures.extend(fs.into_iter().map(|s| format!("sort: {s}"))),
-        },
-        None => failures
-            .push("baseline has no `sort` section; refresh with `paper check --update`".into()),
-    }
-    match baseline.get("serve") {
-        Some(serve_base) => {
-            match metrics::sector_baseline_compare(&serve_current, serve_base, 0.02) {
-                Ok(ns) => notes.extend(ns.into_iter().map(|s| format!("serve: {s}"))),
-                Err(fs) => failures.extend(fs.into_iter().map(|s| format!("serve: {s}"))),
-            }
-        }
-        None => failures
-            .push("baseline has no `serve` section; refresh with `paper check --update`".into()),
-    }
-    match baseline.get("serve_overlap") {
-        Some(overlap_base) => {
-            match metrics::sector_baseline_compare(&serve_overlap_current, overlap_base, 0.02) {
-                Ok(ns) => notes.extend(ns.into_iter().map(|s| format!("serve_overlap: {s}"))),
-                Err(fs) => failures.extend(fs.into_iter().map(|s| format!("serve_overlap: {s}"))),
-            }
-        }
-        None => failures.push(
-            "baseline has no `serve_overlap` section; refresh with `paper check --update`".into(),
-        ),
     }
     if failures.is_empty() {
-        for note in &notes {
-            println!("note: {note}");
-        }
-        println!("check: OK — all sector counts within tolerance of the baseline");
+        println!("check: OK — every sector count equals the baseline");
     } else {
         for f in &failures {
             eprintln!("FAIL: {f}");
         }
         eprintln!(
-            "check: sector counts regressed; investigate, or refresh an intended\n\
+            "check: sector counts changed; investigate, or refresh an intended\n\
              change with `paper check --update` and commit the new baseline"
         );
         std::process::exit(1);
@@ -2468,7 +2215,6 @@ fn main() {
         "scan" => scan_compare(&opts),
         "fused" => fused_compare(&opts),
         "largem" => largem_compare(&opts),
-        "onesweep" => onesweep_compare(&opts),
         "sort" => sort_cmd(&opts),
         "sorttune" => sorttune_cmd(&opts),
         "profile" => profile_cmd(&opts),
@@ -2491,12 +2237,11 @@ fn main() {
             scan_compare(&opts);
             fused_compare(&opts);
             largem_compare(&opts);
-            onesweep_compare(&opts);
             sort_cmd(&opts);
             sorttune_cmd(&opts);
         }
         _ => {
-            eprintln!("usage: paper <table1|table3|table4|table5|table6|fig2|fig3|fig4|fig5|light|sssp|randomized|ablate|scan|fused|largem|onesweep|sort|sorttune|profile|trace|check|fuzz|serve|all> [--n LOG2] [--full] [--no-verify] [--trials K] [--json PATH] [--snapshot NAME] [--update]");
+            eprintln!("usage: paper <table1|table3|table4|table5|table6|fig2|fig3|fig4|fig5|light|sssp|randomized|ablate|scan|fused|largem|sort|sorttune|profile|trace|check|fuzz|serve|all> [--n LOG2] [--full] [--no-verify] [--trials K] [--json PATH] [--snapshot NAME] [--update]");
             eprintln!("       paper fuzz [--iters K] [--seed S] [--replay TOKEN]");
             eprintln!("       paper serve [--requests K] [--n N] [--m M] [--devices D] [--batch B] [--streams S] [--seed S] [--no-verify] [--json PATH] [--snapshot NAME]");
             std::process::exit(2);

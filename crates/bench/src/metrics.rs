@@ -12,8 +12,8 @@
 //!   derive scope trees, launch reports and look-back histograms;
 //! * **sector baselines** — the `paper check` regression gate: current
 //!   per-stage sector counts as JSON, compared against a committed
-//!   baseline with a tolerance (sectors are schedule-independent, so an
-//!   exact-ish comparison is meaningful).
+//!   baseline for exact equality (sectors are deterministic functions of
+//!   the seed and schedule-independent).
 
 use std::cell::RefCell;
 
@@ -135,16 +135,6 @@ pub const PROFILE_CONTENDERS: [(Contender, &str); 4] = [
 pub const LARGEM_CONTENDERS: [(Contender, &str); 2] = [
     (Contender::LargeM, "large-m"),
     (Contender::FusedLargeM, "fused-large-m"),
-];
-
-/// The pair the `onesweep` section of `paper check` covers: the fused
-/// two-key-pass pipeline vs the single-key-pass onesweep. Both directions
-/// of its sector tradeoff are pinned by the committed baseline — fused's
-/// lower total, onesweep's lower `sweep` stage (the only stage that
-/// touches the key buffer once).
-pub const ONESWEEP_CONTENDERS: [(Contender, &str); 2] = [
-    (Contender::Fused, "fused"),
-    (Contender::Onesweep, "onesweep"),
 ];
 
 /// The pair the `sort` section of `paper check` covers: the CUB-like
@@ -280,12 +270,6 @@ pub fn sector_baseline_current(n: usize, m: u32) -> Json {
 /// main section's, so it gets its own config header).
 pub fn largem_sector_baseline_current(n: usize, m: u32) -> Json {
     sector_baseline_for(&LARGEM_CONTENDERS, n, m)
-}
-
-/// The onesweep companion: fused vs onesweep sector counts, stored under
-/// the `"onesweep"` key of the committed baseline.
-pub fn onesweep_sector_baseline_current(n: usize, m: u32) -> Json {
-    sector_baseline_for(&ONESWEEP_CONTENDERS, n, m)
 }
 
 /// The sort companion: radix-sort vs ms-sort sector counts, stored under
@@ -439,18 +423,13 @@ fn sector_baseline_for(contenders: &[(Contender, &'static str)], n: usize, m: u3
     ])
 }
 
-/// Compare current sector counts against a committed baseline.
+/// Compare current sector counts against a committed baseline, exactly.
 ///
-/// Returns `Ok(notes)` when nothing regressed (notes flag improvements
-/// beyond the tolerance, i.e. a stale baseline worth refreshing) or
-/// `Err(failures)` listing every count that **grew** more than
-/// `tolerance` (e.g. `0.02` for ±2%).
-pub fn sector_baseline_compare(
-    current: &Json,
-    baseline: &Json,
-    tolerance: f64,
-) -> Result<Vec<String>, Vec<String>> {
-    let mut notes = Vec::new();
+/// Returns `Err(failures)` listing every count that differs from the
+/// baseline in either direction (a drop is an unrecorded change too:
+/// refresh the baseline with `paper check --update`), every contender or
+/// stage present on one side only, and any config mismatch.
+pub fn sector_baseline_compare(current: &Json, baseline: &Json) -> Result<(), Vec<String>> {
     let mut failures = Vec::new();
     for key in ["n", "m", "seed"] {
         let (c, b) = (
@@ -490,6 +469,11 @@ pub fn sector_baseline_compare(
             ));
         }
     }
+    fn check_one(failures: &mut Vec<String>, what: String, cur_v: f64, base_v: f64) {
+        if cur_v != base_v {
+            failures.push(format!("{what}: {cur_v} sectors vs baseline {base_v}"));
+        }
+    }
     for cur in current_contenders {
         let name = cur.get("contender").and_then(Json::as_str).unwrap_or("?");
         let Some(base) = baseline_contenders
@@ -499,35 +483,6 @@ pub fn sector_baseline_compare(
             failures.push(format!("baseline has no entry for contender `{name}`"));
             continue;
         };
-        fn check_one(
-            notes: &mut Vec<String>,
-            failures: &mut Vec<String>,
-            tolerance: f64,
-            what: String,
-            cur_v: f64,
-            base_v: f64,
-        ) {
-            if base_v == 0.0 {
-                if cur_v != 0.0 {
-                    failures.push(format!("{what}: {cur_v} sectors where baseline has 0"));
-                }
-                return;
-            }
-            let ratio = cur_v / base_v;
-            if ratio > 1.0 + tolerance {
-                failures.push(format!(
-                    "{what}: {cur_v} sectors vs baseline {base_v} (+{:.1}% > {:.0}% tolerance)",
-                    (ratio - 1.0) * 100.0,
-                    tolerance * 100.0
-                ));
-            } else if ratio < 1.0 - tolerance {
-                notes.push(format!(
-                    "{what}: improved to {cur_v} sectors vs baseline {base_v} ({:.1}%) — \
-                     consider `paper check --update`",
-                    (ratio - 1.0) * 100.0
-                ));
-            }
-        }
         // An absent `total_sectors` on either side used to fall through
         // the `if let (Some, Some)` silently — treat it as the gate
         // failure it is (the field is how a regression is measured).
@@ -535,14 +490,7 @@ pub fn sector_baseline_compare(
             cur.get("total_sectors").and_then(Json::as_f64),
             base.get("total_sectors").and_then(Json::as_f64),
         ) {
-            (Some(c), Some(b)) => check_one(
-                &mut notes,
-                &mut failures,
-                tolerance,
-                format!("{name}/total"),
-                c,
-                b,
-            ),
+            (Some(c), Some(b)) => check_one(&mut failures, format!("{name}/total"), c, b),
             (c, b) => {
                 if c.is_none() {
                     failures.push(format!("current report missing `{name}/total_sectors`"));
@@ -578,20 +526,13 @@ pub fn sector_baseline_compare(
                 .find(|s| s.get("stage").and_then(Json::as_str) == Some(sname))
                 .and_then(|s| s.get("sectors").and_then(Json::as_f64));
             match base_v {
-                Some(b) => check_one(
-                    &mut notes,
-                    &mut failures,
-                    tolerance,
-                    format!("{name}/{sname}"),
-                    cur_v,
-                    b,
-                ),
+                Some(b) => check_one(&mut failures, format!("{name}/{sname}"), cur_v, b),
                 None => failures.push(format!("baseline missing stage `{name}/{sname}`")),
             }
         }
     }
     if failures.is_empty() {
-        Ok(notes)
+        Ok(())
     } else {
         Err(failures)
     }
@@ -680,10 +621,7 @@ mod tests {
     fn largem_baseline_section_roundtrips_and_fused_wins() {
         let current = largem_sector_baseline_current(1 << 13, 64);
         let reparsed = Json::parse(&current.pretty()).expect("valid JSON");
-        assert_eq!(
-            sector_baseline_compare(&current, &reparsed, 0.0),
-            Ok(vec![])
-        );
+        assert_eq!(sector_baseline_compare(&current, &reparsed), Ok(()));
         let totals: Vec<(String, f64)> = current
             .get("contenders")
             .and_then(Json::as_arr)
@@ -757,20 +695,17 @@ mod tests {
     #[test]
     fn deleting_a_contender_from_the_report_fails_the_gate() {
         let stages: &[(&str, Option<u64>)] = &[("sweep", Some(100))];
-        let baseline = doc(&[("fused", Some(100), stages), ("onesweep", Some(50), stages)]);
-        let current = doc(&[("fused", Some(100), stages)]); // onesweep dropped
-        let err = sector_baseline_compare(&current, &baseline, 0.02)
+        let baseline = doc(&[("fused", Some(100), stages), ("block", Some(50), stages)]);
+        let current = doc(&[("fused", Some(100), stages)]); // block dropped
+        let err = sector_baseline_compare(&current, &baseline)
             .expect_err("a missing contender must fail the gate");
         assert!(
             err.iter()
-                .any(|e| e.contains("`onesweep`") && e.contains("missing")),
+                .any(|e| e.contains("`block`") && e.contains("missing")),
             "failure must name the dropped contender: {err:?}"
         );
         // The unmodified report still passes.
-        assert_eq!(
-            sector_baseline_compare(&baseline, &baseline, 0.0),
-            Ok(vec![])
-        );
+        assert_eq!(sector_baseline_compare(&baseline, &baseline), Ok(()));
     }
 
     /// Satellite-2 regression: an absent `total_sectors` (or per-stage
@@ -782,46 +717,24 @@ mod tests {
         let good = doc(&[("fused", Some(100), stages)]);
         // Current report lost its total_sectors field.
         let no_total = doc(&[("fused", None, stages)]);
-        let err = sector_baseline_compare(&no_total, &good, 0.02).expect_err("must fail");
+        let err = sector_baseline_compare(&no_total, &good).expect_err("must fail");
         assert!(err.iter().any(|e| e.contains("total_sectors")), "{err:?}");
         // Baseline lost it (e.g. hand-edited) — also a failure.
-        let err = sector_baseline_compare(&good, &no_total, 0.02).expect_err("must fail");
+        let err = sector_baseline_compare(&good, &no_total).expect_err("must fail");
         assert!(err.iter().any(|e| e.contains("total_sectors")), "{err:?}");
         // A stage entry without a `sectors` value fails.
         let no_stage_v: &[(&str, Option<u64>)] = &[("sweep", None)];
         let bad_stage = doc(&[("fused", Some(100), no_stage_v)]);
-        assert!(sector_baseline_compare(&bad_stage, &good, 0.02).is_err());
+        assert!(sector_baseline_compare(&bad_stage, &good).is_err());
         // A stage present in the baseline but dropped from the report fails.
         let no_stages: &[(&str, Option<u64>)] = &[];
         let dropped_stage = doc(&[("fused", Some(100), no_stages)]);
-        let err = sector_baseline_compare(&dropped_stage, &good, 0.02).expect_err("must fail");
+        let err = sector_baseline_compare(&dropped_stage, &good).expect_err("must fail");
         assert!(
             err.iter()
                 .any(|e| e.contains("fused/sweep") && e.contains("missing")),
             "{err:?}"
         );
-    }
-
-    /// The onesweep check section: both directions of the tradeoff hold —
-    /// fused moves fewer *total* sectors, onesweep's sweep stage (the only
-    /// one reading the key buffer) moves fewer than fused's two key passes
-    /// combined.
-    #[test]
-    fn onesweep_baseline_section_roundtrips() {
-        let current = onesweep_sector_baseline_current(1 << 13, 32);
-        let reparsed = Json::parse(&current.pretty()).expect("valid JSON");
-        assert_eq!(
-            sector_baseline_compare(&current, &reparsed, 0.0),
-            Ok(vec![])
-        );
-        let names: Vec<&str> = current
-            .get("contenders")
-            .and_then(Json::as_arr)
-            .unwrap()
-            .iter()
-            .map(|c| c.get("contender").and_then(Json::as_str).unwrap())
-            .collect();
-        assert_eq!(names, vec!["fused", "onesweep"]);
     }
 
     /// The sort check section: ms-sort's one digit histogram plus one
@@ -831,10 +744,7 @@ mod tests {
     fn sort_baseline_section_roundtrips_and_ms_sort_wins() {
         let current = sort_sector_baseline_current(1 << 13, 32);
         let reparsed = Json::parse(&current.pretty()).expect("valid JSON");
-        assert_eq!(
-            sector_baseline_compare(&current, &reparsed, 0.0),
-            Ok(vec![])
-        );
+        assert_eq!(sector_baseline_compare(&current, &reparsed), Ok(()));
         let totals: Vec<(String, f64)> = current
             .get("contenders")
             .and_then(Json::as_arr)
@@ -863,11 +773,8 @@ mod tests {
         let current = sector_baseline_current(n, 8);
         let text = current.pretty();
         let reparsed = Json::parse(&text).expect("baseline must be valid JSON");
-        // Identical runs pass with zero tolerance (sectors deterministic).
-        assert_eq!(
-            sector_baseline_compare(&current, &reparsed, 0.0),
-            Ok(vec![])
-        );
+        // Identical runs pass the exact gate (sectors deterministic).
+        assert_eq!(sector_baseline_compare(&current, &reparsed), Ok(()));
         // A 5% inflation of every sector count fails a 2% gate.
         fn inflate(v: &Json, factor: f64) -> Json {
             match v {
@@ -890,15 +797,15 @@ mod tests {
                 other => other.clone(),
             }
         }
-        let worse = inflate(&current, 1.05);
-        let res = sector_baseline_compare(&worse, &current, 0.02);
-        assert!(res.is_err(), "5% growth must fail a 2% gate");
-        // The inverse direction (shrinkage) is a note, not a failure.
-        let res = sector_baseline_compare(&current, &worse, 0.02);
-        let notes = res.expect("improvement must pass");
-        assert!(!notes.is_empty(), "improvement beyond tolerance is noted");
+        // The gate is exact: one sector more anywhere fails, and so does
+        // one sector less (an unrecorded change either way).
+        let worse = inflate(&current, 1.0001);
+        assert_ne!(worse, current, "the inflation must change some count");
+        let err = sector_baseline_compare(&worse, &current).expect_err("growth must fail");
+        assert!(err.iter().all(|e| e.contains("vs baseline")), "{err:?}");
+        assert!(sector_baseline_compare(&current, &worse).is_err());
         // Config mismatch is an immediate failure.
         let other = sector_baseline_current(n / 2, 8);
-        assert!(sector_baseline_compare(&current, &other, 0.02).is_err());
+        assert!(sector_baseline_compare(&current, &other).is_err());
     }
 }

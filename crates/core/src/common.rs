@@ -30,6 +30,13 @@ pub fn no_values() -> Option<&'static GlobalBuffer<u32>> {
 }
 
 /// Evaluate the bucket function on a warp's keys, charging its ALU cost.
+///
+/// The kernels of every [`crate::Method`] and of the segmented path
+/// classify keys here, so this is where the caller's contract
+/// `bucket_of(key) < m` is checked, in release builds too: a violation
+/// panics naming the key, the returned bucket and `m` instead of
+/// indexing out of bounds deep inside a kernel. The check is host-side
+/// validation and is not charged on the modeled clock.
 #[inline]
 pub fn eval_buckets<B: BucketFn + ?Sized>(
     w: &WarpCtx,
@@ -38,7 +45,16 @@ pub fn eval_buckets<B: BucketFn + ?Sized>(
     mask: u32,
 ) -> Lanes<u32> {
     w.charge(bucket.eval_cost() * mask.count_ones() as u64);
-    simt::lanes_from_fn(|l| bucket.bucket_of(keys[l]))
+    let m = bucket.num_buckets();
+    simt::lanes_from_fn(|l| {
+        let b = bucket.bucket_of(keys[l]);
+        assert!(
+            b < m || !simt::lane_active(mask, l),
+            "bucket function returned bucket {b} for key {} (m = {m})",
+            keys[l]
+        );
+        b
+    })
 }
 
 /// Read the `m + 1` bucket offsets off the scanned matrix `G`: bucket `b`
@@ -55,7 +71,7 @@ pub fn offsets_from_scanned(g: &GlobalBuffer<u32>, m: usize, l: usize, n: usize)
 /// Shared-memory budget of a sweep-style kernel, in 32-bit words: the full
 /// 48 kB block capacity, spent exactly. Single source of truth for the
 /// coarsening / capacity searches of `fused`, `fused_large_m`, and
-/// `onesweep` — a path that reserved private slack (as `fused` once did
+/// `segmented` — a path that reserved private slack (as `fused` once did
 /// with a 512-byte margin) would disagree with the others about whether a
 /// footprint "fits", and the disagreement only surfaces at capacity
 /// boundaries the tests happen to straddle.

@@ -1,5 +1,5 @@
 //! Fused single-pass multisplit (m ≤ 32) via per-bucket decoupled
-//! look-back — the Onesweep structure applied to multisplit.
+//! look-back — the Onesweep radix-sort structure applied to multisplit.
 //!
 //! The three-kernel skeleton (`pre-scan → scan → post-scan`) reads every
 //! key from DRAM **twice** (once to histogram, once to scatter) and
@@ -31,6 +31,11 @@
 //!    n key reads + n coalesced writes + 3 record-sized flag accesses per
 //!    tile.
 //!
+//! Both launches run the `m ≤ 32` tile bodies of the sweep-tile engine
+//! (`crate::engine`, shared with the large-m and segmented paths) over
+//! one problem: keys `[0, n)`, one look-back window. This module owns the
+//! entry points, their contracts, and the coarsening.
+//!
 //! Net: keys cross DRAM twice-read + once-written becomes ~1.5×n total
 //! sectors saved — measured ≈ one-third fewer counted sectors than the
 //! three-kernel block-level MS (see `paper fused` / EXPERIMENTS.md).
@@ -45,19 +50,14 @@
 //! one output slot — the classic symptom of a wrong scatter base — panics
 //! instead of silently producing a permutation-shaped wrong answer.
 
-use simt::{lanes_from_fn, Device, EventKind, GlobalBuffer, Scalar, WARP_SIZE};
-
-use primitives::{
-    lookback::TileStates, low_lanes_mask, multi_exclusive_scan_across_cols,
-    multi_reduce_across_warps, tail_mask, warp_scan,
-};
+use simt::{Device, GlobalBuffer, Scalar, WARP_SIZE};
 
 use crate::bucket::BucketFn;
 use crate::common::{
-    check_into_buffers, empty_result, eval_buckets, staging_words_per_element, DeviceMultisplit,
+    check_into_buffers, empty_result, staging_words_per_element, DeviceMultisplit,
     SMEM_BUDGET_WORDS,
 };
-use crate::warp_ops::{warp_histogram, warp_histogram_and_offsets};
+use crate::engine::{prescan_launch, sweep_launch, SweepIo};
 
 /// Most chunks of 32 elements a warp processes per tile.
 pub const MAX_ITEMS_PER_THREAD: usize = 8;
@@ -66,8 +66,9 @@ pub const MAX_ITEMS_PER_THREAD: usize = 8;
 /// the per-chunk histogram columns (odd pitch), three m-word tables
 /// (tile_hist / bucket_base / scatter_base), the staged tile (key +
 /// bucket id + optional payload per element), and the tile-id word. This
-/// mirrors the `alloc_shared` calls in the sweep launch exactly, so the
-/// budget check and the allocation can only drift together.
+/// mirrors the `alloc_shared` calls of the engine's `m ≤ 32` sweep body
+/// exactly, so the budget check and the allocation can only drift
+/// together.
 pub fn fused_footprint_words(wpb: usize, m: usize, ipt: usize, value_words: usize) -> usize {
     let pitch = m | 1;
     let nchunks = wpb * ipt;
@@ -87,66 +88,6 @@ pub fn fused_items_per_thread(wpb: usize, m: usize, value_bytes: u64) -> usize {
         ipt -= 1;
     }
     ipt
-}
-
-/// Pass 1: global per-bucket totals, one coalesced read of the keys.
-fn fused_histogram<B: BucketFn + ?Sized>(
-    dev: &Device,
-    keys: &GlobalBuffer<u32>,
-    n: usize,
-    bucket: &B,
-    wpb: usize,
-    ipt: usize,
-    totals: &GlobalBuffer<u32>,
-) {
-    let m = bucket.num_buckets();
-    let tile = wpb * WARP_SIZE * ipt;
-    let blocks = n.div_ceil(tile);
-    dev.launch("fused/pre-scan", blocks, wpb, |blk| {
-        let nw = blk.warps_per_block;
-        let mu = m as usize;
-        let pitch = mu | 1;
-        let h2 = blk.alloc_shared::<u32>(nw * pitch);
-        let block_hist = blk.alloc_shared::<u32>(mu);
-        let tile_start = blk.block_id * tile;
-        for w in blk.warps() {
-            // Histogram all of this warp's chunks into registers before
-            // touching shared memory: one column per warp, not per chunk.
-            let mut acc = [0u32; WARP_SIZE];
-            for c in 0..ipt {
-                let base = tile_start + (w.warp_id * ipt + c) * WARP_SIZE;
-                let mask = tail_mask(base, n);
-                if mask == 0 {
-                    break;
-                }
-                let idx = lanes_from_fn(|j| if base + j < n { base + j } else { base });
-                let k = w.gather(keys, idx, mask);
-                let b = eval_buckets(&w, bucket, k, mask);
-                let h = warp_histogram(&w, b, m, mask);
-                for lane in 0..WARP_SIZE {
-                    acc[lane] = acc[lane].wrapping_add(h[lane]);
-                }
-                w.charge(mu as u64); // the accumulate adds
-            }
-            let col = w.warp_id * pitch;
-            h2.st(
-                lanes_from_fn(|lane| col + lane.min(mu - 1)),
-                acc,
-                low_lanes_mask(mu),
-            );
-        }
-        blk.sync();
-        multi_reduce_across_warps(blk, &h2, mu, pitch, &block_hist);
-        // One warp adds the block's histogram into the m global counters.
-        // u32 adds commute, so the totals (and the billing: m distinct
-        // consecutive words) are schedule-independent.
-        {
-            let w = blk.warp(0);
-            let mask = low_lanes_mask(mu);
-            let v = block_hist.ld(lanes_from_fn(|lane| lane.min(mu - 1)), mask);
-            w.atomic_add(totals, lanes_from_fn(|lane| lane.min(mu - 1)), v, mask);
-        }
-    });
 }
 
 /// Fused single-kernel-sweep multisplit over `m <= 32` buckets.
@@ -212,11 +153,8 @@ pub fn multisplit_fused_into<B: BucketFn + ?Sized, V: Scalar>(
     if n == 0 {
         return vec![0; m as usize + 1];
     }
-    let mu = m as usize;
-    let ipt = fused_items_per_thread(wpb, mu, if values.is_some() { V::BYTES } else { 0 });
-    let totals = GlobalBuffer::<u32>::zeroed(mu);
-    fused_histogram(dev, keys, n, bucket, wpb, ipt, &totals);
-    let totals: Vec<u32> = (0..mu).map(|b| totals.get(b)).collect();
+    let ipt = fused_items_per_thread(wpb, m as usize, kv_bytes(values));
+    let totals = prescan_launch(dev, "fused/pre-scan", keys, n, bucket, wpb, ipt);
     multisplit_fused_sweep_into(
         dev, keys, values, n, bucket, wpb, &totals, out_keys, out_values,
     )
@@ -247,184 +185,26 @@ pub fn multisplit_fused_sweep_into<B: BucketFn + ?Sized, V: Scalar>(
     );
     check_into_buffers(keys, values, n, out_keys, out_values);
     assert_eq!(totals.len(), m as usize, "one bucket total per bucket");
-    assert_eq!(
-        totals.iter().map(|&t| t as u64).sum::<u64>(),
-        n as u64,
-        "bucket totals must sum to n"
-    );
     if n == 0 {
-        return vec![0; m as usize + 1];
+        return crate::engine::offsets_from_totals(totals, 0);
     }
-    let mu = m as usize;
-    let ipt = fused_items_per_thread(wpb, mu, if values.is_some() { V::BYTES } else { 0 });
-    let tile = wpb * WARP_SIZE * ipt;
-    let l = n.div_ceil(tile); // tiles
+    let ipt = fused_items_per_thread(wpb, m as usize, kv_bytes(values));
+    let io = SweepIo {
+        keys,
+        values,
+        out_keys,
+        out_values,
+    };
+    sweep_launch(dev, "fused/sweep", &io, n, bucket, wpb, ipt, totals)
+}
 
-    // Host-side exclusive scan of m ≤ 32 counters into the global bucket
-    // bases (what `G`'s row heads were in the three-kernel pipeline).
-    let mut bases_host = Vec::with_capacity(mu);
-    let mut run = 0u32;
-    for &t in totals {
-        bases_host.push(run);
-        run += t;
+/// Payload bytes per element in flight: 0 key-only, `V::BYTES` otherwise.
+pub(crate) fn kv_bytes<V: Scalar>(values: Option<&GlobalBuffer<V>>) -> u64 {
+    if values.is_some() {
+        V::BYTES
+    } else {
+        0
     }
-    let bases = GlobalBuffer::from_slice(&bases_host);
-    let mut offsets = bases_host;
-    offsets.push(n as u32);
-
-    let ticket = GlobalBuffer::<u32>::zeroed(1);
-    let states = TileStates::new(l, mu);
-    dev.launch("fused/sweep", l, wpb, |blk| {
-        let nw = blk.warps_per_block;
-        let pitch = mu | 1;
-        let nchunks = nw * ipt; // one histogram column per 32-element chunk
-        let h2 = blk.alloc_shared::<u32>(nchunks * pitch);
-        let tile_hist = blk.alloc_shared::<u32>(mu);
-        let bucket_base = blk.alloc_shared::<u32>(mu);
-        let scatter_base = blk.alloc_shared::<u32>(mu);
-        let keys2_s = blk.alloc_shared::<u32>(tile);
-        let buckets2_s = blk.alloc_shared::<u32>(tile);
-        let values2_s = values.map(|_| blk.alloc_shared::<V>(tile));
-        let tile_id = blk.alloc_shared::<u32>(1);
-        // Per-chunk registers persisting across barriers, as in a real
-        // kernel: the tile's keys are read from DRAM exactly once.
-        let mut key_reg = vec![[0u32; WARP_SIZE]; nchunks];
-        let mut bucket_reg = vec![[0u32; WARP_SIZE]; nchunks];
-        let mut offs_reg = vec![[0u32; WARP_SIZE]; nchunks];
-        let mut val_reg = values.map(|_| vec![[V::default(); WARP_SIZE]; nchunks]);
-
-        // Phase 0: claim the next tile in task-start order — the look-back
-        // deadlock-freedom invariant (we only ever wait on started tiles).
-        {
-            let w = blk.warp(0);
-            tile_id.set(0, w.device_fetch_add(&ticket, 0, 1));
-            w.obs()
-                .flight_emit(EventKind::TicketClaim, tile_id.get(0), 0, 0);
-        }
-        blk.sync();
-        let t = tile_id.get(0) as usize;
-        let tile_start = t * tile;
-
-        // Phase 1: warp histograms + in-warp ranks per chunk; elements stay
-        // in registers.
-        for w in blk.warps() {
-            for c in 0..ipt {
-                let chunk = w.warp_id * ipt + c;
-                let base = tile_start + chunk * WARP_SIZE;
-                let mask = tail_mask(base, n);
-                let col = chunk * pitch;
-                if mask == 0 {
-                    h2.st(
-                        lanes_from_fn(|lane| col + lane.min(mu - 1)),
-                        [0; WARP_SIZE],
-                        low_lanes_mask(mu),
-                    );
-                    continue;
-                }
-                let idx = lanes_from_fn(|j| if base + j < n { base + j } else { base });
-                let k = w.gather(keys, idx, mask);
-                let b = eval_buckets(&w, bucket, k, mask);
-                let (histo, offs) = warp_histogram_and_offsets(&w, b, m, mask);
-                h2.st(
-                    lanes_from_fn(|lane| col + lane.min(mu - 1)),
-                    histo,
-                    low_lanes_mask(mu),
-                );
-                key_reg[chunk] = k;
-                bucket_reg[chunk] = b;
-                offs_reg[chunk] = offs;
-                if let (Some(vin), Some(vr)) = (values, &mut val_reg) {
-                    vr[chunk] = w.gather(vin, idx, mask);
-                }
-            }
-        }
-        blk.sync();
-
-        // Phase 2: per-row exclusive multi-scan across the tile's chunk
-        // columns; the tile histogram (this tile's m-vector aggregate)
-        // falls out of the same shuffles.
-        multi_exclusive_scan_across_cols(blk, &h2, mu, pitch, nchunks, Some(&tile_hist));
-
-        // Phase 3 (warp 0): publish the aggregate, resolve the m-vector
-        // tile prefix by decoupled look-back, and derive both layouts —
-        // block-local (bucket-wise exclusive scan of the tile histogram)
-        // and global (bases[b] + prefix[b], replacing the scanned-G
-        // gather of the three-kernel post-scan).
-        {
-            let w = blk.warp(0);
-            let mask = low_lanes_mask(mu);
-            let agg = tile_hist.ld(lanes_from_fn(|lane| lane.min(mu - 1)), mask);
-            let prefix = states.resolve(&w, t, agg);
-            let padded = lanes_from_fn(|lane| if lane < mu { agg[lane] } else { 0 });
-            let exc = warp_scan::exclusive_scan_add(&w, padded);
-            bucket_base.st(lanes_from_fn(|lane| lane.min(mu - 1)), exc, mask);
-            let gb = w.gather_cached(&bases, lanes_from_fn(|lane| lane.min(mu - 1)), mask);
-            scatter_base.st(
-                lanes_from_fn(|lane| lane.min(mu - 1)),
-                lanes_from_fn(|lane| gb[lane].wrapping_add(prefix[lane])),
-                mask,
-            );
-        }
-        blk.sync();
-
-        // Phase 4: block-wide reorder in shared memory.
-        for w in blk.warps() {
-            for c in 0..ipt {
-                let chunk = w.warp_id * ipt + c;
-                let base = tile_start + chunk * WARP_SIZE;
-                let mask = tail_mask(base, n);
-                if mask == 0 {
-                    continue;
-                }
-                let b = bucket_reg[chunk];
-                let col = chunk * pitch;
-                let prev_chunks = h2.ld(lanes_from_fn(|lane| col + b[lane] as usize), mask);
-                let bb = bucket_base.ld(lanes_from_fn(|lane| b[lane] as usize), mask);
-                let new_idx = lanes_from_fn(|lane| {
-                    (bb[lane] + prev_chunks[lane] + offs_reg[chunk][lane]) as usize
-                });
-                keys2_s.st(new_idx, key_reg[chunk], mask);
-                buckets2_s.st(new_idx, b, mask);
-                if let (Some(vr), Some(vs2)) = (&val_reg, &values2_s) {
-                    vs2.st(new_idx, vr[chunk], mask);
-                }
-            }
-        }
-        blk.sync();
-
-        // Phase 5: coalesced final store straight to global positions;
-        // rank within bucket = tile position - bucket_base.
-        for w in blk.warps() {
-            for c in 0..ipt {
-                let chunk = w.warp_id * ipt + c;
-                let base = tile_start + chunk * WARP_SIZE;
-                let mask = tail_mask(base, n);
-                if mask == 0 {
-                    continue;
-                }
-                let tid = lanes_from_fn(|lane| chunk * WARP_SIZE + lane);
-                let k2 = keys2_s.ld(tid, mask);
-                let b2 = buckets2_s.ld(tid, mask);
-                let bb = bucket_base.ld(lanes_from_fn(|lane| b2[lane] as usize), mask);
-                let sb = scatter_base.ld(lanes_from_fn(|lane| b2[lane] as usize), mask);
-                let dest = lanes_from_fn(|lane| {
-                    (sb[lane]
-                        .wrapping_add(tid[lane] as u32)
-                        .wrapping_sub(bb[lane])) as usize
-                });
-                w.scatter(out_keys, dest, k2, mask);
-                if let (Some(vs2), Some(vout)) = (&values2_s, out_values) {
-                    let v2 = vs2.ld(tid, mask);
-                    w.scatter(vout, dest, v2, mask);
-                }
-            }
-        }
-        blk.stats()
-            .obs
-            .flight_emit(EventKind::ScatterComplete, t as u32, 0, 0);
-    });
-
-    offsets
 }
 
 #[cfg(test)]

@@ -1,28 +1,30 @@
 //! Fused single-pass multisplit for **more than 32 buckets** — the
-//! `fused.rs` Onesweep structure generalized to the `m > 32` regime of
-//! paper §5.3/§6.4, with multi-row decoupled look-back and
-//! bank-conflict-free staging.
+//! `fused.rs` structure generalized to the `m > 32` regime of paper
+//! §5.3/§6.4, with multi-row decoupled look-back and bank-conflict-free
+//! staging.
 //!
 //! The three-kernel large-m pipeline (`large_m.rs`) reads every key from
 //! DRAM twice and round-trips the `m × L` histogram matrix through global
 //! memory; the matrix is `⌈m/32⌉`× bigger than in the `m ≤ 32` case, so
 //! the fusion win *grows* with `m`. This module collapses it to two
-//! launches:
+//! launches, both running the row-vectorized tile bodies of the
+//! sweep-tile engine (`crate::engine`) over one problem:
 //!
 //! 1. `fused_large_m/pre-scan` — per-warp register-accumulated
-//!    multi-histograms ([`warp_histogram_multi`]) over a coarsened tile,
-//!    reduced across warps in shared memory, then one warp-wide
-//!    `atomicAdd` per 32-bucket row group into `m` global counters
-//!    (commutative, so totals and billing are schedule-independent).
-//!    The `m × L` matrix never exists.
+//!    multi-histograms ([`crate::warp_ops::warp_histogram_multi`]) over a
+//!    coarsened tile, reduced across warps in shared memory, then one
+//!    warp-wide `atomicAdd` per 32-bucket row group into `m` global
+//!    counters (commutative, so totals and billing are
+//!    schedule-independent). The `m × L` matrix never exists.
 //! 2. `fused_large_m/sweep` — reads each tile's keys **once** into
 //!    registers, builds the row-vectorized `m × ncols` shared histogram
 //!    (one column per 32-element chunk), runs a single block-wide
 //!    exclusive scan of all `m·ncols` counters (§6.4, "as CUB does"),
 //!    resolves the **m-vector** tile prefix with the multi-row look-back
-//!    of [`TileStates::resolve_rows`] (records wider than a warp span
-//!    `⌈m/32⌉` warp-sized row groups), block-reorders through **padded**
-//!    staging, and scatters straight to final positions.
+//!    of [`primitives::SegmentedTileStates::resolve_rows`] (records wider
+//!    than a warp span `⌈m/32⌉` warp-sized row groups), block-reorders
+//!    through **padded** staging, and scatters straight to final
+//!    positions.
 //!
 //! ### Bank-conflict-free staging
 //!
@@ -46,19 +48,15 @@
 //! Output buffers are allocated with the write-race detector enabled
 //! ([`simt::GlobalBuffer::tracked`]), as in `fused.rs`.
 
-use simt::{
-    lanes_from_fn, padded_index, padded_len, Device, EventKind, GlobalBuffer, Scalar, WARP_SIZE,
-};
-
-use primitives::{block_exclusive_scan_shared, lookback::TileStates, low_lanes_mask, tail_mask};
+use simt::{padded_len, Device, GlobalBuffer, Scalar, WARP_SIZE};
 
 use crate::bucket::BucketFn;
 use crate::common::{
-    check_into_buffers, empty_result, eval_buckets, staging_words_per_element, DeviceMultisplit,
+    check_into_buffers, empty_result, staging_words_per_element, DeviceMultisplit,
     SMEM_BUDGET_WORDS,
 };
-use crate::fused::MAX_ITEMS_PER_THREAD;
-use crate::warp_ops::{warp_histogram_multi, warp_offsets};
+use crate::engine::{prescan_launch, sweep_launch, SweepIo};
+use crate::fused::{kv_bytes, MAX_ITEMS_PER_THREAD};
 
 /// Sweep-kernel shared footprint in words for a given coarsening: the
 /// `m × (ncols | 1)` histogram, the `m`-word scatter-base row, padded
@@ -103,87 +101,6 @@ pub fn fused_large_m_items_per_thread(wpb: usize, m: usize, value_bytes: u64) ->
         ipt -= 1;
     }
     ipt
-}
-
-/// Pass 1: `m` global per-bucket totals from one coalesced read of the
-/// keys. Register accumulation keeps one shared column per warp (not per
-/// chunk); the final warp-wide `atomicAdd`s commute, so the totals and
-/// their billing are schedule-independent.
-fn fused_large_m_histogram<B: BucketFn + ?Sized>(
-    dev: &Device,
-    keys: &GlobalBuffer<u32>,
-    n: usize,
-    bucket: &B,
-    wpb: usize,
-    ipt: usize,
-    totals: &GlobalBuffer<u32>,
-) {
-    let m = bucket.num_buckets();
-    let mu = m as usize;
-    let tile = wpb * WARP_SIZE * ipt;
-    let blocks = n.div_ceil(tile);
-    dev.launch("fused_large_m/pre-scan", blocks, wpb, |blk| {
-        let nw = blk.warps_per_block;
-        // Row-vectorized m x N_W histogram, odd pitch: [bucket * nwp + warp].
-        let nwp = nw | 1;
-        let hrow = blk.alloc_shared::<u32>(mu * nwp);
-        let tile_start = blk.block_id * tile;
-        for w in blk.warps() {
-            let mut acc = vec![[0u32; WARP_SIZE]; mu.div_ceil(WARP_SIZE)];
-            for c in 0..ipt {
-                let base = tile_start + (w.warp_id * ipt + c) * WARP_SIZE;
-                let mask = tail_mask(base, n);
-                if mask == 0 {
-                    break;
-                }
-                let idx = lanes_from_fn(|j| if base + j < n { base + j } else { base });
-                let k = w.gather(keys, idx, mask);
-                let b = eval_buckets(&w, bucket, k, mask);
-                let h = warp_histogram_multi(&w, b, m, mask);
-                for (hc, histo) in h.iter().enumerate() {
-                    for lane in 0..WARP_SIZE {
-                        acc[hc][lane] = acc[hc][lane].wrapping_add(histo[lane]);
-                    }
-                }
-                w.charge(mu as u64); // the accumulate adds
-            }
-            for (hc, histo) in acc.iter().enumerate() {
-                let cnt = (mu - hc * WARP_SIZE).min(WARP_SIZE);
-                let sm = low_lanes_mask(cnt);
-                hrow.st(
-                    lanes_from_fn(|lane| (hc * WARP_SIZE + lane.min(cnt - 1)) * nwp + w.warp_id),
-                    *histo,
-                    sm,
-                );
-            }
-        }
-        blk.sync();
-        // Reduce rows (buckets) across warps; one warp-wide atomicAdd per
-        // 32-bucket row group into the m global counters.
-        for w in blk.warps() {
-            let mut row = w.warp_id * WARP_SIZE;
-            while row < mu {
-                let cnt = (mu - row).min(WARP_SIZE);
-                let sm = low_lanes_mask(cnt);
-                let mut acc = [0u32; WARP_SIZE];
-                for wid in 0..nw {
-                    let v = hrow.ld(
-                        lanes_from_fn(|lane| (row + lane.min(cnt - 1)) * nwp + wid),
-                        sm,
-                    );
-                    acc = lanes_from_fn(|lane| acc[lane] + v[lane]);
-                }
-                w.charge(nw as u64 * cnt as u64);
-                w.atomic_add(
-                    totals,
-                    lanes_from_fn(|lane| row + lane.min(cnt - 1)),
-                    acc,
-                    sm,
-                );
-                row += nw * WARP_SIZE;
-            }
-        }
-    });
 }
 
 /// Fused two-launch multisplit for any `32 < m <= max_buckets(wpb, _)`.
@@ -242,7 +159,7 @@ pub fn multisplit_fused_large_m_into<B: BucketFn + ?Sized, V: Scalar>(
         m > 32,
         "use the dedicated m <= 32 paths below the warp width"
     );
-    let value_bytes = if values.is_some() { V::BYTES } else { 0 };
+    let value_bytes = kv_bytes(values);
     let cap = max_buckets_bytes(wpb, value_bytes);
     assert!(
         m <= cap,
@@ -252,216 +169,24 @@ pub fn multisplit_fused_large_m_into<B: BucketFn + ?Sized, V: Scalar>(
     if n == 0 {
         return vec![0; m as usize + 1];
     }
-    let mu = m as usize;
-    let ipt = fused_large_m_items_per_thread(wpb, mu, value_bytes);
-    let tile = wpb * WARP_SIZE * ipt;
-    let l = n.div_ceil(tile); // tiles
-
-    // ====== Pass 1: m global bucket totals.
-    let totals = GlobalBuffer::<u32>::zeroed(mu);
-    fused_large_m_histogram(dev, keys, n, bucket, wpb, ipt, &totals);
-
-    // Host-side exclusive scan of the m counters into global bucket bases
-    // (what the scanned matrix G's row heads were in the three-kernel
-    // pipeline).
-    let mut bases_host = Vec::with_capacity(mu);
-    let mut run = 0u32;
-    for b in 0..mu {
-        bases_host.push(run);
-        run = run.wrapping_add(totals.get(b));
-    }
-    debug_assert_eq!(run as usize, n, "bucket totals must sum to n");
-    let bases = GlobalBuffer::from_slice(&bases_host);
-    let mut offsets = bases_host;
-    offsets.push(n as u32);
-
-    // ====== Pass 2: the fused sweep.
-    let ticket = GlobalBuffer::<u32>::zeroed(1);
-    let states = TileStates::new(l, mu);
-    dev.launch("fused_large_m/sweep", l, wpb, |blk| {
-        let nw = blk.warps_per_block;
-        let nchunks = nw * ipt; // one histogram column per 32-element chunk
-        let ncolp = nchunks | 1;
-        let hrow = blk.alloc_shared::<u32>(mu * ncolp);
-        let scatter_base = blk.alloc_shared::<u32>(mu);
-        let keys2_s = blk.alloc_shared::<u32>(padded_len(tile));
-        let buckets2_s = blk.alloc_shared::<u32>(padded_len(tile));
-        let values2_s = values.map(|_| blk.alloc_shared::<V>(padded_len(tile)));
-        let tile_id = blk.alloc_shared::<u32>(1);
-        // Per-chunk registers persisting across barriers: the tile's keys
-        // are read from DRAM exactly once.
-        let mut key_reg = vec![[0u32; WARP_SIZE]; nchunks];
-        let mut bucket_reg = vec![[0u32; WARP_SIZE]; nchunks];
-        let mut offs_reg = vec![[0u32; WARP_SIZE]; nchunks];
-        let mut val_reg = values.map(|_| vec![[V::default(); WARP_SIZE]; nchunks]);
-
-        // Phase 0: claim the next tile in task-start order — the look-back
-        // deadlock-freedom invariant.
-        {
-            let w = blk.warp(0);
-            tile_id.set(0, w.device_fetch_add(&ticket, 0, 1));
-            w.obs()
-                .flight_emit(EventKind::TicketClaim, tile_id.get(0), 0, 0);
-        }
-        blk.sync();
-        let t = tile_id.get(0) as usize;
-        let tile_start = t * tile;
-
-        // Phase 1: multi-histograms + in-warp ranks per chunk; elements
-        // stay in registers. Column stores stride by the odd pitch.
-        for w in blk.warps() {
-            for c in 0..ipt {
-                let chunk = w.warp_id * ipt + c;
-                let base = tile_start + chunk * WARP_SIZE;
-                let mask = tail_mask(base, n);
-                let h = if mask == 0 {
-                    vec![[0u32; WARP_SIZE]; mu.div_ceil(WARP_SIZE)]
-                } else {
-                    let idx = lanes_from_fn(|j| if base + j < n { base + j } else { base });
-                    let k = w.gather(keys, idx, mask);
-                    let b = eval_buckets(&w, bucket, k, mask);
-                    let offs = warp_offsets(&w, b, m, mask);
-                    key_reg[chunk] = k;
-                    bucket_reg[chunk] = b;
-                    offs_reg[chunk] = offs;
-                    if let (Some(vin), Some(vr)) = (values, &mut val_reg) {
-                        vr[chunk] = w.gather(vin, idx, mask);
-                    }
-                    warp_histogram_multi(&w, b, m, mask)
-                };
-                for (hc, histo) in h.iter().enumerate() {
-                    let cnt = (mu - hc * WARP_SIZE).min(WARP_SIZE);
-                    let sm = low_lanes_mask(cnt);
-                    hrow.st(
-                        lanes_from_fn(|lane| (hc * WARP_SIZE + lane.min(cnt - 1)) * ncolp + chunk),
-                        *histo,
-                        sm,
-                    );
-                }
-            }
-        }
-        blk.sync();
-
-        // Phase 2: one block-wide exclusive scan of all m * ncols counters
-        // (§6.4; the zero pad cells are scan-neutral). Afterwards
-        // hrow[b*ncolp + c] is the tile-local dense rank base of bucket b
-        // in chunk c, and hrow[b*ncolp] the tile-local start of bucket b.
-        let tile_total = block_exclusive_scan_shared(blk, &hrow, mu * ncolp);
-        blk.sync();
-
-        // Phase 3 (warp 0): recover the tile's m-vector aggregate from the
-        // scanned row heads (head[b+1] - head[b]; the last bucket closes
-        // against the scan total), resolve the m-vector tile prefix by
-        // multi-row look-back, and store the global scatter bases.
-        {
-            let w = blk.warp(0);
-            let mut agg = vec![0u32; mu];
-            let mut g0 = 0usize;
-            while g0 < mu {
-                let cnt = (mu - g0).min(WARP_SIZE);
-                let sm = low_lanes_mask(cnt);
-                let heads = hrow.ld(lanes_from_fn(|l| (g0 + l.min(cnt - 1)) * ncolp), sm);
-                // The final bucket has no successor row; it is patched
-                // with the scan total below, so mask it out of the load.
-                let has_next = if g0 + cnt == mu {
-                    low_lanes_mask(cnt - 1)
-                } else {
-                    sm
-                };
-                let nexts = hrow.ld(
-                    lanes_from_fn(|l| {
-                        let b = g0 + l.min(cnt - 1);
-                        if b + 1 < mu {
-                            (b + 1) * ncolp
-                        } else {
-                            0
-                        }
-                    }),
-                    has_next,
-                );
-                for l in 0..cnt {
-                    let b = g0 + l;
-                    let next = if b + 1 < mu { nexts[l] } else { tile_total };
-                    agg[b] = next.wrapping_sub(heads[l]);
-                }
-                w.charge(cnt as u64); // the subtracts
-                g0 += WARP_SIZE;
-            }
-            let prefix = states.resolve_rows(&w, t, &agg);
-            let mut g0 = 0usize;
-            while g0 < mu {
-                let cnt = (mu - g0).min(WARP_SIZE);
-                let sm = low_lanes_mask(cnt);
-                let gb = w.gather_cached(&bases, lanes_from_fn(|l| g0 + l.min(cnt - 1)), sm);
-                scatter_base.st(
-                    lanes_from_fn(|l| g0 + l.min(cnt - 1)),
-                    lanes_from_fn(|l| gb[l].wrapping_add(prefix[g0 + l.min(cnt - 1)])),
-                    sm,
-                );
-                g0 += WARP_SIZE;
-            }
-        }
-        blk.sync();
-
-        // Phase 4: block-wide reorder into *padded* staging — any
-        // structured rank stride lands on distinct banks.
-        for w in blk.warps() {
-            for c in 0..ipt {
-                let chunk = w.warp_id * ipt + c;
-                let base = tile_start + chunk * WARP_SIZE;
-                let mask = tail_mask(base, n);
-                if mask == 0 {
-                    continue;
-                }
-                let b = bucket_reg[chunk];
-                let col_base = hrow.ld(lanes_from_fn(|l| b[l] as usize * ncolp + chunk), mask);
-                let new_idx =
-                    lanes_from_fn(|l| padded_index((col_base[l] + offs_reg[chunk][l]) as usize));
-                keys2_s.st(new_idx, key_reg[chunk], mask);
-                buckets2_s.st(new_idx, b, mask);
-                if let (Some(vr), Some(vs2)) = (&val_reg, &values2_s) {
-                    vs2.st(new_idx, vr[chunk], mask);
-                }
-            }
-        }
-        blk.sync();
-
-        // Phase 5: coalesced final store straight to global positions;
-        // rank within bucket = tile position - tile-local bucket start.
-        // The padded read of consecutive logical positions is itself
-        // conflict-free (32 consecutive physical words per warp).
-        for w in blk.warps() {
-            for c in 0..ipt {
-                let chunk = w.warp_id * ipt + c;
-                let base = tile_start + chunk * WARP_SIZE;
-                let mask = tail_mask(base, n);
-                if mask == 0 {
-                    continue;
-                }
-                let tid = lanes_from_fn(|lane| chunk * WARP_SIZE + lane);
-                let pidx = lanes_from_fn(|lane| padded_index(chunk * WARP_SIZE + lane));
-                let k2 = keys2_s.ld(pidx, mask);
-                let b2 = buckets2_s.ld(pidx, mask);
-                let bb = hrow.ld(lanes_from_fn(|lane| b2[lane] as usize * ncolp), mask);
-                let sb = scatter_base.ld(lanes_from_fn(|lane| b2[lane] as usize), mask);
-                let dest = lanes_from_fn(|lane| {
-                    (sb[lane]
-                        .wrapping_add(tid[lane] as u32)
-                        .wrapping_sub(bb[lane])) as usize
-                });
-                w.scatter(out_keys, dest, k2, mask);
-                if let (Some(vs2), Some(vout)) = (&values2_s, out_values) {
-                    let v2 = vs2.ld(pidx, mask);
-                    w.scatter(vout, dest, v2, mask);
-                }
-            }
-        }
-        blk.stats()
-            .obs
-            .flight_emit(EventKind::ScatterComplete, t as u32, 0, 0);
-    });
-
-    offsets
+    let ipt = fused_large_m_items_per_thread(wpb, m as usize, value_bytes);
+    let totals = prescan_launch(dev, "fused_large_m/pre-scan", keys, n, bucket, wpb, ipt);
+    let io = SweepIo {
+        keys,
+        values,
+        out_keys,
+        out_values,
+    };
+    sweep_launch(
+        dev,
+        "fused_large_m/sweep",
+        &io,
+        n,
+        bucket,
+        wpb,
+        ipt,
+        &totals,
+    )
 }
 
 #[cfg(test)]
@@ -471,7 +196,7 @@ mod tests {
     use crate::common::no_values;
     use crate::cpu_ref::{multisplit_kv_ref, multisplit_ref};
     use crate::large_m::multisplit_large_m;
-    use simt::{BlockStats, Device, K40C};
+    use simt::{lanes_from_fn, BlockStats, Device, K40C};
 
     fn keys_for(n: usize, seed: u32) -> Vec<u32> {
         (0..n as u32)

@@ -17,6 +17,7 @@
 //! | [`multisplit_large_m`] | block (256) | intra-block | `32 < m ≲ 1.3k` |
 //! | [`multisplit_fused`] | coarsened tile | intra-block | any `m ≤ 32` (default) |
 //! | [`multisplit_fused_large_m`] | coarsened tile | intra-block | any `32 < m ≲ 1.2k` (default) |
+//! | [`multisplit_segmented`] | coarsened tile per segment | intra-block | many small problems in 2 launches |
 //!
 //! The three paper methods follow the `{pre-scan, scan, post-scan}`
 //! skeleton: ballot-based local histograms
@@ -26,9 +27,13 @@
 //! scatter. [`multisplit_fused`] collapses that skeleton into a
 //! lightweight global-histogram pass plus **one** sweep kernel that
 //! resolves per-bucket tile prefixes with the decoupled look-back of
-//! `primitives::lookback` (the Onesweep structure) — it is what
-//! [`Method::auto`] picks for `m <= 32` unless the three-kernel pipeline
-//! is pinned via [`with_pipeline`].
+//! `primitives::lookback` (the Onesweep radix-sort structure) — it is
+//! what [`Method::auto`] picks for `m <= 32` unless the three-kernel
+//! pipeline is pinned via [`with_pipeline`]. The fused, fused large-m and
+//! segmented paths all run one sweep-tile engine (the private `engine`
+//! module): four tile bodies — `m ≤ 32` and row-vectorized `m > 32`,
+//! each a pre-scan and a sweep — over a key sub-range, a histogram base
+//! and a look-back window.
 //!
 //! ## Quickstart
 //!
@@ -51,10 +56,10 @@ pub mod bucket;
 pub mod common;
 pub mod cpu_ref;
 pub mod direct;
+mod engine;
 pub mod fused;
 pub mod fused_large_m;
 pub mod large_m;
-pub mod onesweep;
 pub mod segmented;
 pub mod warp_level;
 pub mod warp_ops;
@@ -79,7 +84,6 @@ pub use fused_large_m::{
     multisplit_fused_large_m_into,
 };
 pub use large_m::{max_buckets, multisplit_large_m};
-pub use onesweep::{multisplit_onesweep, onesweep_items_per_thread};
 pub use segmented::{
     multisplit_segmented, multisplit_segmented_into, segment_fits_sweep, SegmentSpec,
     SegmentedMultisplit,

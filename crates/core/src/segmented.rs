@@ -13,10 +13,14 @@
 //!
 //! Every segment is classified by [`Method::auto_for`]'s segmented-aware
 //! face ([`Method::auto_for_segmented`]): `m ≤ 32` segments run the
-//! `fused.rs` sweep body, `32 < m ≤ capacity` the `fused_large_m.rs`
-//! body, and anything else (past fused capacity, or a pinned
-//! three-kernel pipeline) falls back to its own standalone launches
-//! under a `segmented/fallback` scope. The coalesced work then runs as:
+//! sweep-tile engine's `m ≤ 32` bodies, `32 < m ≤ capacity` its
+//! row-vectorized bodies — the same code `fused.rs` and
+//! `fused_large_m.rs` run for one problem — and anything else (past fused
+//! capacity, or a pinned three-kernel pipeline) falls back to its own
+//! standalone launches under a `segmented/fallback` scope. This module
+//! owns the descriptor table and its decode, the classification and
+//! coarsening, and the fallback; the tile bodies live in the engine. The
+//! coalesced work then runs as:
 //!
 //! 1. `segmented/pre-scan[fused=K,largem=J]` — one block per tile of
 //!    every segment. Each block reads its 8-word tile descriptor
@@ -25,51 +29,43 @@
 //!    the entire coalescing overhead — and accumulates its segment's
 //!    bucket totals into a **flattened** `Σmᵢ` counter array.
 //! 2. Host: per-segment exclusive scans of the flat totals into
-//!    per-segment bucket bases (the `m ≤ 32` loop of `fused.rs`, once
+//!    per-segment bucket bases (the engine's totals→offsets scan, once
 //!    per segment).
 //! 3. `segmented/sweep[fused=K,largem=J]` — blocks self-schedule across
 //!    the **flattened segment×tile ticket space** (one global
 //!    `device_fetch_add` counter). A ticket decodes through the
-//!    descriptor table to `(segment, local tile)`; the block then runs
-//!    the segment's class body unchanged, except that every global index
-//!    is offset by the segment's base and the decoupled look-back goes
-//!    through [`SegmentedTileStates`]: per-segment state windows in one
-//!    buffer, so tile `t` of a segment only ever waits on tile `t-1`
-//!    **of the same segment**. No cross-segment dependency exists —
+//!    descriptor table to a tile — `(offset, n, local tile)`, histogram
+//!    base, look-back window — and the block runs the segment's class
+//!    body on it. The look-back goes through [`SegmentedTileStates`]:
+//!    per-segment state windows in one buffer, so tile `t` of a segment
+//!    only ever waits on tile `t-1` **of the same segment**. No cross-segment dependency exists —
 //!    and none is needed for deadlock freedom, because each segment's
 //!    tiles occupy consecutive global tickets, so a tile's predecessor
 //!    always holds a smaller ticket and is already running or done.
 //!
 //! Per-segment outputs are bit-identical to standalone
 //! [`Method::auto`](crate::api::Method::auto) runs of each segment
-//! (same bodies, same per-segment look-back protocol), and total counted
-//! DRAM sectors stay within a few percent of the sum of standalone runs
-//! (the descriptor reads); what collapses is the *launch count* — 2
-//! instead of `2 × segments` — which is the whole serving story
-//! (`paper serve`, DESIGN.md §14).
+//! (same bodies, same per-segment look-back protocol). A one-segment
+//! batch at offset 0 bills exactly the standalone run plus one
+//! descriptor decode per tile, and total counted DRAM sectors stay
+//! within a few percent of the sum of standalone runs; what collapses is
+//! the *launch count* — 2 instead of `2 × segments` — which is the whole
+//! serving story (`paper serve`, DESIGN.md §14).
 //!
 //! Outputs land in a flat buffer at each segment's own offset, so a
 //! batch executor can bind one pooled arena for the whole batch
 //! ([`simt::BufferPool`]) instead of allocating per request.
 
-use simt::{
-    lanes_from_fn, padded_index, padded_len, BlockCtx, Device, EventKind, GlobalBuffer, Scalar,
-    SharedBuf, WARP_SIZE,
-};
+use simt::{lanes_from_fn, BlockCtx, Device, GlobalBuffer, Scalar, WARP_SIZE};
 
-use primitives::{
-    block_exclusive_scan_shared, low_lanes_mask, multi_exclusive_scan_across_cols,
-    multi_reduce_across_warps, tail_mask, warp_scan, SegmentedTileStates,
-};
+use primitives::{low_lanes_mask, SegmentedTileStates};
 
 use crate::api::{multisplit_device, Method};
 use crate::bucket::BucketFn;
-use crate::common::{eval_buckets, SMEM_BUDGET_WORDS};
-use crate::fused::{fused_footprint_words, fused_items_per_thread};
+use crate::common::SMEM_BUDGET_WORDS;
+use crate::engine::{self, SweepIo, Tile};
+use crate::fused::{fused_footprint_words, fused_items_per_thread, kv_bytes};
 use crate::fused_large_m::{fused_large_m_items_per_thread, sweep_footprint_words};
-use crate::warp_ops::{
-    warp_histogram, warp_histogram_and_offsets, warp_histogram_multi, warp_offsets,
-};
 
 /// One independent multisplit problem inside a segmented batch: a
 /// sub-range `[offset, offset + n)` of the flat key (and value) buffer,
@@ -99,10 +95,12 @@ const DESC_WORDS: usize = 8;
 const CLASS_FUSED: u32 = 0;
 const CLASS_LARGE_M: u32 = 1;
 
-/// Shared tile decode: warp 0 reads tile `t`'s descriptor (the counted
-/// coalescing overhead — one aligned sector per tile), everyone reads
-/// it back from shared memory after the block barrier.
-fn read_desc<'b>(desc: &GlobalBuffer<u32>, blk: &'b BlockCtx, t: usize) -> SharedBuf<'b, u32> {
+/// Tile decode: warp 0 reads tile `t`'s descriptor (the counted
+/// coalescing overhead — one aligned sector per tile) into shared
+/// memory, and after the block barrier every word is read back. Returns
+/// the tile (its window is its segment's index among the coalesced
+/// segments) and the class.
+fn read_desc(desc: &GlobalBuffer<u32>, blk: &BlockCtx, t: usize) -> (Tile, u32) {
     let desc_s = blk.alloc_shared::<u32>(DESC_WORDS);
     {
         let w = blk.warp(0);
@@ -118,7 +116,18 @@ fn read_desc<'b>(desc: &GlobalBuffer<u32>, blk: &'b BlockCtx, t: usize) -> Share
         );
     }
     blk.sync();
-    desc_s
+    let d: [usize; DESC_WORDS] = std::array::from_fn(|i| desc_s.get(i) as usize);
+    let tile = Tile {
+        window: d[0],
+        off: d[1],
+        n: d[2],
+        ipt: d[4],
+        local: d[5],
+        hist_base: d[6],
+    };
+    // Word 3 (m) is decoded with the rest; the bodies take m from the
+    // segment's bucket function.
+    (tile, d[7] as u32)
 }
 
 /// A classified segment of the coalesced launch (fallback segments are
@@ -245,7 +254,7 @@ pub fn multisplit_segmented_into<V: Scalar>(
         );
     }
 
-    let kv_bytes = if values.is_some() { V::BYTES } else { 0 };
+    let kv_bytes = kv_bytes(values);
     let mut offsets: Vec<Vec<u32>> = segs
         .iter()
         .map(|s| vec![0u32; s.bucket.num_buckets() as usize + 1])
@@ -316,141 +325,22 @@ pub fn multisplit_segmented_into<V: Scalar>(
 
         // ====== Launch 1: flattened per-segment bucket totals.
         dev.launch(&pre_label, total_tiles, wpb, |blk| {
-            let desc_s = read_desc(&desc, blk, blk.block_id);
-            let sseg = desc_s.get(0) as usize;
-            let off = desc_s.get(1) as usize;
-            let seg_n = desc_s.get(2) as usize;
-            let m = desc_s.get(3);
-            let mu = m as usize;
-            let ipt = desc_s.get(4) as usize;
-            let local_t = desc_s.get(5) as usize;
-            let hb = desc_s.get(6) as usize;
-            let class = desc_s.get(7);
-            let bucket = segs[lsegs[sseg].seg].bucket;
-            let nw = blk.warps_per_block;
-            let tile = nw * WARP_SIZE * ipt;
-            let tile_start = local_t * tile;
-
+            let (tile, class) = read_desc(&desc, blk, blk.block_id);
+            let bucket = segs[lsegs[tile.window].seg].bucket;
             if class == CLASS_FUSED {
-                // The fused.rs pre-scan body, segment-local.
-                let pitch = mu | 1;
-                let h2 = blk.alloc_shared::<u32>(nw * pitch);
-                let block_hist = blk.alloc_shared::<u32>(mu);
-                for w in blk.warps() {
-                    let mut acc = [0u32; WARP_SIZE];
-                    for c in 0..ipt {
-                        let lb = tile_start + (w.warp_id * ipt + c) * WARP_SIZE;
-                        let mask = tail_mask(lb, seg_n);
-                        if mask == 0 {
-                            break;
-                        }
-                        let idx = lanes_from_fn(|j| off + if lb + j < seg_n { lb + j } else { lb });
-                        let k = w.gather(keys, idx, mask);
-                        let b = eval_buckets(&w, bucket, k, mask);
-                        let h = warp_histogram(&w, b, m, mask);
-                        for lane in 0..WARP_SIZE {
-                            acc[lane] = acc[lane].wrapping_add(h[lane]);
-                        }
-                        w.charge(mu as u64); // the accumulate adds
-                    }
-                    let col = w.warp_id * pitch;
-                    h2.st(
-                        lanes_from_fn(|lane| col + lane.min(mu - 1)),
-                        acc,
-                        low_lanes_mask(mu),
-                    );
-                }
-                blk.sync();
-                multi_reduce_across_warps(blk, &h2, mu, pitch, &block_hist);
-                {
-                    let w = blk.warp(0);
-                    let mask = low_lanes_mask(mu);
-                    let v = block_hist.ld(lanes_from_fn(|lane| lane.min(mu - 1)), mask);
-                    w.atomic_add(
-                        &totals,
-                        lanes_from_fn(|lane| hb + lane.min(mu - 1)),
-                        v,
-                        mask,
-                    );
-                }
+                engine::prescan_fused(blk, keys, bucket, &tile, &totals);
             } else {
-                // The fused_large_m.rs pre-scan body, segment-local.
-                let nwp = nw | 1;
-                let hrow = blk.alloc_shared::<u32>(mu * nwp);
-                for w in blk.warps() {
-                    let mut acc = vec![[0u32; WARP_SIZE]; mu.div_ceil(WARP_SIZE)];
-                    for c in 0..ipt {
-                        let lb = tile_start + (w.warp_id * ipt + c) * WARP_SIZE;
-                        let mask = tail_mask(lb, seg_n);
-                        if mask == 0 {
-                            break;
-                        }
-                        let idx = lanes_from_fn(|j| off + if lb + j < seg_n { lb + j } else { lb });
-                        let k = w.gather(keys, idx, mask);
-                        let b = eval_buckets(&w, bucket, k, mask);
-                        let h = warp_histogram_multi(&w, b, m, mask);
-                        for (hc, histo) in h.iter().enumerate() {
-                            for lane in 0..WARP_SIZE {
-                                acc[hc][lane] = acc[hc][lane].wrapping_add(histo[lane]);
-                            }
-                        }
-                        w.charge(mu as u64);
-                    }
-                    for (hc, histo) in acc.iter().enumerate() {
-                        let cnt = (mu - hc * WARP_SIZE).min(WARP_SIZE);
-                        let sm = low_lanes_mask(cnt);
-                        hrow.st(
-                            lanes_from_fn(|lane| {
-                                (hc * WARP_SIZE + lane.min(cnt - 1)) * nwp + w.warp_id
-                            }),
-                            *histo,
-                            sm,
-                        );
-                    }
-                }
-                blk.sync();
-                for w in blk.warps() {
-                    let mut row = w.warp_id * WARP_SIZE;
-                    while row < mu {
-                        let cnt = (mu - row).min(WARP_SIZE);
-                        let sm = low_lanes_mask(cnt);
-                        let mut acc = [0u32; WARP_SIZE];
-                        for wid in 0..nw {
-                            let v = hrow.ld(
-                                lanes_from_fn(|lane| (row + lane.min(cnt - 1)) * nwp + wid),
-                                sm,
-                            );
-                            acc = lanes_from_fn(|lane| acc[lane] + v[lane]);
-                        }
-                        w.charge(nw as u64 * cnt as u64);
-                        w.atomic_add(
-                            &totals,
-                            lanes_from_fn(|lane| hb + row + lane.min(cnt - 1)),
-                            acc,
-                            sm,
-                        );
-                        row += nw * WARP_SIZE;
-                    }
-                }
+                engine::prescan_large_m(blk, keys, bucket, &tile, &totals);
             }
         });
 
         // ====== Host: per-segment exclusive scans of the flat totals.
         let mut bases_host = vec![0u32; hist_words];
         for ls in &lsegs {
-            let mut run = 0u32;
-            for b in 0..ls.mu {
-                bases_host[ls.hist_base + b] = run;
-                run = run.wrapping_add(totals.get(ls.hist_base + b));
-            }
-            debug_assert_eq!(
-                run as usize, segs[ls.seg].n,
-                "segment {}: bucket totals must sum to n",
-                ls.seg
-            );
-            let o = &mut offsets[ls.seg];
-            o[..ls.mu].copy_from_slice(&bases_host[ls.hist_base..ls.hist_base + ls.mu]);
-            o[ls.mu] = segs[ls.seg].n as u32;
+            let seg_totals: Vec<u32> = (0..ls.mu).map(|b| totals.get(ls.hist_base + b)).collect();
+            let o = engine::offsets_from_totals(&seg_totals, segs[ls.seg].n);
+            bases_host[ls.hist_base..ls.hist_base + ls.mu].copy_from_slice(&o[..ls.mu]);
+            offsets[ls.seg] = o;
         }
         let bases = GlobalBuffer::from_slice(&bases_host);
 
@@ -460,310 +350,21 @@ pub fn multisplit_segmented_into<V: Scalar>(
         let states = SegmentedTileStates::new(&parts);
         debug_assert_eq!(states.total_tiles(), total_tiles);
         let ticket = GlobalBuffer::<u32>::zeroed(1);
+        let io = SweepIo {
+            keys,
+            values,
+            out_keys,
+            out_values,
+        };
         dev.launch(&sweep_label, total_tiles, wpb, |blk| {
-            let tile_id = blk.alloc_shared::<u32>(1);
-            {
-                let w = blk.warp(0);
-                tile_id.set(0, w.device_fetch_add(&ticket, 0, 1));
-                w.obs()
-                    .flight_emit(EventKind::TicketClaim, tile_id.get(0), 0, 0);
-            }
-            blk.sync();
-            let t = tile_id.get(0) as usize; // global ticket
-            let desc_s = read_desc(&desc, blk, t);
-            let sseg = desc_s.get(0) as usize;
-            let off = desc_s.get(1) as usize;
-            let seg_n = desc_s.get(2) as usize;
-            let m = desc_s.get(3);
-            let mu = m as usize;
-            let ipt = desc_s.get(4) as usize;
-            let local_t = desc_s.get(5) as usize;
-            let hb = desc_s.get(6) as usize;
-            let class = desc_s.get(7);
-            let bucket = segs[lsegs[sseg].seg].bucket;
-            let nw = blk.warps_per_block;
-            let nchunks = nw * ipt;
-            let tile = nchunks * WARP_SIZE;
-            let tile_start = local_t * tile;
-
+            let t = engine::claim_ticket(blk, &ticket); // global ticket
+            let (tile, class) = read_desc(&desc, blk, t);
+            let bucket = segs[lsegs[tile.window].seg].bucket;
             if class == CLASS_FUSED {
-                // ------ The fused.rs sweep body (phases 1–5),
-                // segment-local: indices offset by `off`, masks against
-                // `seg_n`, look-back inside segment `sseg`'s window.
-                let pitch = mu | 1;
-                let h2 = blk.alloc_shared::<u32>(nchunks * pitch);
-                let tile_hist = blk.alloc_shared::<u32>(mu);
-                let bucket_base = blk.alloc_shared::<u32>(mu);
-                let scatter_base = blk.alloc_shared::<u32>(mu);
-                let keys2_s = blk.alloc_shared::<u32>(tile);
-                let buckets2_s = blk.alloc_shared::<u32>(tile);
-                let values2_s = values.map(|_| blk.alloc_shared::<V>(tile));
-                let mut key_reg = vec![[0u32; WARP_SIZE]; nchunks];
-                let mut bucket_reg = vec![[0u32; WARP_SIZE]; nchunks];
-                let mut offs_reg = vec![[0u32; WARP_SIZE]; nchunks];
-                let mut val_reg = values.map(|_| vec![[V::default(); WARP_SIZE]; nchunks]);
-
-                for w in blk.warps() {
-                    for c in 0..ipt {
-                        let chunk = w.warp_id * ipt + c;
-                        let lb = tile_start + chunk * WARP_SIZE;
-                        let mask = tail_mask(lb, seg_n);
-                        let col = chunk * pitch;
-                        if mask == 0 {
-                            h2.st(
-                                lanes_from_fn(|lane| col + lane.min(mu - 1)),
-                                [0; WARP_SIZE],
-                                low_lanes_mask(mu),
-                            );
-                            continue;
-                        }
-                        let idx = lanes_from_fn(|j| off + if lb + j < seg_n { lb + j } else { lb });
-                        let k = w.gather(keys, idx, mask);
-                        let b = eval_buckets(&w, bucket, k, mask);
-                        let (histo, offs) = warp_histogram_and_offsets(&w, b, m, mask);
-                        h2.st(
-                            lanes_from_fn(|lane| col + lane.min(mu - 1)),
-                            histo,
-                            low_lanes_mask(mu),
-                        );
-                        key_reg[chunk] = k;
-                        bucket_reg[chunk] = b;
-                        offs_reg[chunk] = offs;
-                        if let (Some(vin), Some(vr)) = (values, &mut val_reg) {
-                            vr[chunk] = w.gather(vin, idx, mask);
-                        }
-                    }
-                }
-                blk.sync();
-
-                multi_exclusive_scan_across_cols(blk, &h2, mu, pitch, nchunks, Some(&tile_hist));
-
-                {
-                    let w = blk.warp(0);
-                    let mask = low_lanes_mask(mu);
-                    let agg = tile_hist.ld(lanes_from_fn(|lane| lane.min(mu - 1)), mask);
-                    let prefix = states.resolve(&w, sseg, local_t, agg);
-                    let padded = lanes_from_fn(|lane| if lane < mu { agg[lane] } else { 0 });
-                    let exc = warp_scan::exclusive_scan_add(&w, padded);
-                    bucket_base.st(lanes_from_fn(|lane| lane.min(mu - 1)), exc, mask);
-                    let gb =
-                        w.gather_cached(&bases, lanes_from_fn(|lane| hb + lane.min(mu - 1)), mask);
-                    scatter_base.st(
-                        lanes_from_fn(|lane| lane.min(mu - 1)),
-                        lanes_from_fn(|lane| gb[lane].wrapping_add(prefix[lane])),
-                        mask,
-                    );
-                }
-                blk.sync();
-
-                for w in blk.warps() {
-                    for c in 0..ipt {
-                        let chunk = w.warp_id * ipt + c;
-                        let lb = tile_start + chunk * WARP_SIZE;
-                        let mask = tail_mask(lb, seg_n);
-                        if mask == 0 {
-                            continue;
-                        }
-                        let b = bucket_reg[chunk];
-                        let col = chunk * pitch;
-                        let prev_chunks = h2.ld(lanes_from_fn(|lane| col + b[lane] as usize), mask);
-                        let bb = bucket_base.ld(lanes_from_fn(|lane| b[lane] as usize), mask);
-                        let new_idx = lanes_from_fn(|lane| {
-                            (bb[lane] + prev_chunks[lane] + offs_reg[chunk][lane]) as usize
-                        });
-                        keys2_s.st(new_idx, key_reg[chunk], mask);
-                        buckets2_s.st(new_idx, b, mask);
-                        if let (Some(vr), Some(vs2)) = (&val_reg, &values2_s) {
-                            vs2.st(new_idx, vr[chunk], mask);
-                        }
-                    }
-                }
-                blk.sync();
-
-                for w in blk.warps() {
-                    for c in 0..ipt {
-                        let chunk = w.warp_id * ipt + c;
-                        let lb = tile_start + chunk * WARP_SIZE;
-                        let mask = tail_mask(lb, seg_n);
-                        if mask == 0 {
-                            continue;
-                        }
-                        let tid = lanes_from_fn(|lane| chunk * WARP_SIZE + lane);
-                        let k2 = keys2_s.ld(tid, mask);
-                        let b2 = buckets2_s.ld(tid, mask);
-                        let bb = bucket_base.ld(lanes_from_fn(|lane| b2[lane] as usize), mask);
-                        let sb = scatter_base.ld(lanes_from_fn(|lane| b2[lane] as usize), mask);
-                        let dest = lanes_from_fn(|lane| {
-                            off + (sb[lane]
-                                .wrapping_add(tid[lane] as u32)
-                                .wrapping_sub(bb[lane])) as usize
-                        });
-                        w.scatter(out_keys, dest, k2, mask);
-                        if let (Some(vs2), Some(vout)) = (&values2_s, out_values) {
-                            let v2 = vs2.ld(tid, mask);
-                            w.scatter(vout, dest, v2, mask);
-                        }
-                    }
-                }
+                engine::sweep_fused(blk, &io, bucket, &tile, &bases, &states);
             } else {
-                // ------ The fused_large_m.rs sweep body (phases 1–5),
-                // segment-local, with multi-row look-back in segment
-                // `sseg`'s window and padded staging.
-                let ncolp = nchunks | 1;
-                let hrow = blk.alloc_shared::<u32>(mu * ncolp);
-                let scatter_base = blk.alloc_shared::<u32>(mu);
-                let keys2_s = blk.alloc_shared::<u32>(padded_len(tile));
-                let buckets2_s = blk.alloc_shared::<u32>(padded_len(tile));
-                let values2_s = values.map(|_| blk.alloc_shared::<V>(padded_len(tile)));
-                let mut key_reg = vec![[0u32; WARP_SIZE]; nchunks];
-                let mut bucket_reg = vec![[0u32; WARP_SIZE]; nchunks];
-                let mut offs_reg = vec![[0u32; WARP_SIZE]; nchunks];
-                let mut val_reg = values.map(|_| vec![[V::default(); WARP_SIZE]; nchunks]);
-
-                for w in blk.warps() {
-                    for c in 0..ipt {
-                        let chunk = w.warp_id * ipt + c;
-                        let lb = tile_start + chunk * WARP_SIZE;
-                        let mask = tail_mask(lb, seg_n);
-                        let h = if mask == 0 {
-                            vec![[0u32; WARP_SIZE]; mu.div_ceil(WARP_SIZE)]
-                        } else {
-                            let idx =
-                                lanes_from_fn(|j| off + if lb + j < seg_n { lb + j } else { lb });
-                            let k = w.gather(keys, idx, mask);
-                            let b = eval_buckets(&w, bucket, k, mask);
-                            let offs = warp_offsets(&w, b, m, mask);
-                            key_reg[chunk] = k;
-                            bucket_reg[chunk] = b;
-                            offs_reg[chunk] = offs;
-                            if let (Some(vin), Some(vr)) = (values, &mut val_reg) {
-                                vr[chunk] = w.gather(vin, idx, mask);
-                            }
-                            warp_histogram_multi(&w, b, m, mask)
-                        };
-                        for (hc, histo) in h.iter().enumerate() {
-                            let cnt = (mu - hc * WARP_SIZE).min(WARP_SIZE);
-                            let sm = low_lanes_mask(cnt);
-                            hrow.st(
-                                lanes_from_fn(|lane| {
-                                    (hc * WARP_SIZE + lane.min(cnt - 1)) * ncolp + chunk
-                                }),
-                                *histo,
-                                sm,
-                            );
-                        }
-                    }
-                }
-                blk.sync();
-
-                let tile_total = block_exclusive_scan_shared(blk, &hrow, mu * ncolp);
-                blk.sync();
-
-                {
-                    let w = blk.warp(0);
-                    let mut agg = vec![0u32; mu];
-                    let mut g0 = 0usize;
-                    while g0 < mu {
-                        let cnt = (mu - g0).min(WARP_SIZE);
-                        let sm = low_lanes_mask(cnt);
-                        let heads = hrow.ld(lanes_from_fn(|l| (g0 + l.min(cnt - 1)) * ncolp), sm);
-                        let has_next = if g0 + cnt == mu {
-                            low_lanes_mask(cnt - 1)
-                        } else {
-                            sm
-                        };
-                        let nexts = hrow.ld(
-                            lanes_from_fn(|l| {
-                                let b = g0 + l.min(cnt - 1);
-                                if b + 1 < mu {
-                                    (b + 1) * ncolp
-                                } else {
-                                    0
-                                }
-                            }),
-                            has_next,
-                        );
-                        for l in 0..cnt {
-                            let b = g0 + l;
-                            let next = if b + 1 < mu { nexts[l] } else { tile_total };
-                            agg[b] = next.wrapping_sub(heads[l]);
-                        }
-                        w.charge(cnt as u64); // the subtracts
-                        g0 += WARP_SIZE;
-                    }
-                    let prefix = states.resolve_rows(&w, sseg, local_t, &agg);
-                    let mut g0 = 0usize;
-                    while g0 < mu {
-                        let cnt = (mu - g0).min(WARP_SIZE);
-                        let sm = low_lanes_mask(cnt);
-                        let gb = w.gather_cached(
-                            &bases,
-                            lanes_from_fn(|l| hb + g0 + l.min(cnt - 1)),
-                            sm,
-                        );
-                        scatter_base.st(
-                            lanes_from_fn(|l| g0 + l.min(cnt - 1)),
-                            lanes_from_fn(|l| gb[l].wrapping_add(prefix[g0 + l.min(cnt - 1)])),
-                            sm,
-                        );
-                        g0 += WARP_SIZE;
-                    }
-                }
-                blk.sync();
-
-                for w in blk.warps() {
-                    for c in 0..ipt {
-                        let chunk = w.warp_id * ipt + c;
-                        let lb = tile_start + chunk * WARP_SIZE;
-                        let mask = tail_mask(lb, seg_n);
-                        if mask == 0 {
-                            continue;
-                        }
-                        let b = bucket_reg[chunk];
-                        let col_base =
-                            hrow.ld(lanes_from_fn(|l| b[l] as usize * ncolp + chunk), mask);
-                        let new_idx = lanes_from_fn(|l| {
-                            padded_index((col_base[l] + offs_reg[chunk][l]) as usize)
-                        });
-                        keys2_s.st(new_idx, key_reg[chunk], mask);
-                        buckets2_s.st(new_idx, b, mask);
-                        if let (Some(vr), Some(vs2)) = (&val_reg, &values2_s) {
-                            vs2.st(new_idx, vr[chunk], mask);
-                        }
-                    }
-                }
-                blk.sync();
-
-                for w in blk.warps() {
-                    for c in 0..ipt {
-                        let chunk = w.warp_id * ipt + c;
-                        let lb = tile_start + chunk * WARP_SIZE;
-                        let mask = tail_mask(lb, seg_n);
-                        if mask == 0 {
-                            continue;
-                        }
-                        let tid = lanes_from_fn(|lane| chunk * WARP_SIZE + lane);
-                        let pidx = lanes_from_fn(|lane| padded_index(chunk * WARP_SIZE + lane));
-                        let k2 = keys2_s.ld(pidx, mask);
-                        let b2 = buckets2_s.ld(pidx, mask);
-                        let bb = hrow.ld(lanes_from_fn(|lane| b2[lane] as usize * ncolp), mask);
-                        let sb = scatter_base.ld(lanes_from_fn(|lane| b2[lane] as usize), mask);
-                        let dest = lanes_from_fn(|lane| {
-                            off + (sb[lane]
-                                .wrapping_add(tid[lane] as u32)
-                                .wrapping_sub(bb[lane])) as usize
-                        });
-                        w.scatter(out_keys, dest, k2, mask);
-                        if let (Some(vs2), Some(vout)) = (&values2_s, out_values) {
-                            let v2 = vs2.ld(pidx, mask);
-                            w.scatter(vout, dest, v2, mask);
-                        }
-                    }
-                }
+                engine::sweep_large_m(blk, &io, bucket, &tile, &bases, &states);
             }
-            blk.stats()
-                .obs
-                .flight_emit(EventKind::ScatterComplete, t as u32, 0, 0);
         });
     }
 

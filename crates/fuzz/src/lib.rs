@@ -64,15 +64,16 @@ pub const MAX_N: usize = 4096;
 /// with `m` and the interesting boundaries are far below).
 pub const MAX_LARGE_M: u32 = 256;
 
-/// All seven methods with their replay-token names.
-pub const METHODS: [(Method, &str); 7] = [
+/// All six methods with their replay-token names. A token naming a
+/// method that no longer exists (`method=onesweep`, from before the
+/// onesweep path was deleted) fails to parse as an unknown method.
+pub const METHODS: [(Method, &str); 6] = [
     (Method::Direct, "direct"),
     (Method::WarpLevel, "warp"),
     (Method::BlockLevel, "block"),
     (Method::LargeM, "largem"),
     (Method::Fused, "fused"),
     (Method::FusedLargeM, "fusedlargem"),
-    (Method::Onesweep, "onesweep"),
 ];
 
 /// Input key distribution.
@@ -2012,6 +2013,12 @@ mod tests {
             parse_replay("n=1,m=2,method=nope,kv=0,dist=uniform,keyseed=0,wpb=8,sched=seq")
                 .is_err()
         );
+        // The deleted onesweep method's tokens no longer parse.
+        assert!(parse_replay(
+            "n=1,m=2,method=onesweep,kv=0,dist=uniform,keyseed=0,wpb=8,sched=seq"
+        )
+        .unwrap_err()
+        .contains("unknown method"));
         assert!(parse_replay(
             "n=1,m=2,method=fused,kv=0,dist=uniform,keyseed=0,wpb=8,sched=adv:x:y"
         )
@@ -2040,12 +2047,12 @@ mod tests {
 
     #[test]
     fn generator_covers_the_matrix() {
-        // 84 consecutive cases (7 methods x 2 kv x 6 schedules) hit every
+        // 72 consecutive cases (6 methods x 2 kv x 6 schedules) hit every
         // method x kv x schedule family exactly once.
         let mut methods = std::collections::HashSet::new();
         let mut kvs = std::collections::HashSet::new();
         let mut scheds = std::collections::HashSet::new();
-        for ix in 0..84 {
+        for ix in 0..72 {
             let c = gen_case(5, ix);
             methods.insert(method_token(c.method));
             kvs.insert(c.kv);
@@ -2057,7 +2064,7 @@ mod tests {
             assert!(c.m >= c.min_m() && c.m <= c.max_m(), "m in range for {c:?}");
             assert!(c.n <= MAX_N);
         }
-        assert_eq!(methods.len(), 7, "{methods:?}");
+        assert_eq!(methods.len(), METHODS.len(), "{methods:?}");
         assert_eq!(kvs.len(), 2);
         assert_eq!(scheds.len(), 6, "{scheds:?}");
     }
@@ -2504,7 +2511,7 @@ mod tests {
         start.ns[..4].copy_from_slice(&[512, 30, 900, 4]);
         start.ms[..4].copy_from_slice(&[16, 12, 8, 2]);
         start.methods[..4].copy_from_slice(&[
-            Method::Onesweep,
+            Method::Fused,
             Method::WarpLevel,
             Method::BlockLevel,
             Method::Direct,
@@ -2543,7 +2550,7 @@ mod tests {
             };
             case.ns[..3].copy_from_slice(&[700, 1, 260]);
             case.ms[..3].copy_from_slice(&[32, 5, 40]);
-            case.methods[..3].copy_from_slice(&[Method::Onesweep, Method::Fused, Method::LargeM]);
+            case.methods[..3].copy_from_slice(&[Method::BlockLevel, Method::Fused, Method::LargeM]);
             assert!(
                 run_stream_case(&case).is_ok(),
                 "{}: {:?}",

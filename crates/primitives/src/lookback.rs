@@ -1,12 +1,17 @@
-//! Decoupled look-back tile states, reusable across aggregate shapes.
+//! Decoupled look-back tile states, reusable across aggregate shapes and
+//! across independent problems packed into one launch.
 //!
-//! The chained scan (PR 1) resolved **scalar** tile prefixes by publishing
-//! one packed `(value << 2 | flag)` word per tile and walking predecessor
+//! The chained scan resolves **scalar** tile prefixes by publishing one
+//! packed `(value << 2 | flag)` word per tile and walking predecessor
 //! tiles' words. The fused multisplit needs the same protocol over
-//! **m-row vectors** — one flag word per bucket per tile — so the
-//! machinery lives here, parameterized by the number of rows:
-//! [`TileStates::new(tiles, 1)`](TileStates::new) is the scalar scan's
-//! state, `TileStates::new(tiles, m)` carries a bucket histogram per tile.
+//! **m-row vectors** — one flag word per bucket per tile — and the
+//! segmented multisplit needs many such protocol instances side by side.
+//! One type covers all three: [`SegmentedTileStates`] holds one *window*
+//! of `tiles × rows` state words per problem.
+//! [`SegmentedTileStates::new(&[(tiles, 1)])`](SegmentedTileStates::new)
+//! is the scalar scan's state, `new(&[(tiles, m)])` carries a bucket
+//! histogram per tile, and one `(tiles, rows)` part per segment packs
+//! the windows of a segmented launch.
 //!
 //! Protocol (Merrill & Garland, *Single-pass Parallel Prefix Scan with
 //! Decoupled Look-back*): a tile publishes `aggregate | AGGREGATE`, walks
@@ -18,12 +23,15 @@
 //! ### Deadlock freedom
 //!
 //! Tickets must be claimed with a device-scope `fetch_add` at block start,
-//! so ticket order is *task-start* order: tile `t` only ever waits on
-//! tiles `< t`, all of which have already started. The executor in
-//! `simt::Device` runs blocks on OS threads that claim block ids from a
-//! shared counter, so a started block always makes progress (the spin
-//! wait yields); on `Device::sequential` predecessors have finished
-//! before tile `t` even starts and every look-back resolves in one hop.
+//! so ticket order is *task-start* order. Windows' tiles occupy
+//! consecutive tickets (window `s`'s local tile `t` is ticket
+//! `tile_base(s) + t`), so local tile `t` waits only on local `t - 1` — a
+//! strictly earlier ticket, i.e. an already-started block — and never on
+//! another window. The executor in `simt::Device` runs blocks on OS
+//! threads that claim block ids from a shared counter, so a started block
+//! always makes progress (the spin wait yields); on `Device::sequential`
+//! predecessors have finished before tile `t` even starts and every
+//! look-back resolves in one hop.
 //!
 //! ### Schedule-independent accounting
 //!
@@ -33,9 +41,13 @@
 //! charged a fixed, deterministic cost instead: per warp-sized row group,
 //! its two record publishes plus one counted record-sized look-back read
 //! — so parallel and sequential devices report identical
-//! [`simt::BlockStats`]. Records wider than a warp (`rows > 32`, the
-//! fused large-m multisplit) simply span multiple groups; `rows <= 32`
-//! is one group and reproduces the chained scan's billing bit-for-bit.
+//! [`simt::BlockStats`], and a segmented launch bills exactly the sum of
+//! the one-window launches it replaces. Records wider than a warp
+//! (`rows > 32`, the fused large-m multisplit) simply span multiple
+//! groups; `rows <= 32` is one group and reproduces the chained scan's
+//! billing bit-for-bit. A window's word and ticket bases shift where its
+//! words live, not what a tile is charged, so every window bills like a
+//! single-problem kernel of its own shape.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -64,8 +76,8 @@ pub fn unpack(word: u64) -> (u32, u64) {
 /// Spin until the state word at `idx` is published (flag != EMPTY).
 ///
 /// Polls through the uncounted `device_peek` path; the deterministic
-/// charge happens once per tile in [`TileStates::resolve`]. Poll
-/// iterations go to the uncounted `obs` side-channel — they depend on
+/// charge happens once per tile in [`SegmentedTileStates::resolve_rows`].
+/// Poll iterations go to the uncounted `obs` side-channel — they depend on
 /// thread interleaving, so they are exported for inspection but never
 /// priced or compared for equality.
 /// Returns the published word and how many polls found it EMPTY (the
@@ -104,373 +116,64 @@ fn spin_wait_published(
     }
 }
 
-/// Lane-indexed word addresses and active mask of group `g` of tile `t`'s
-/// record inside a state-word window starting at `word_base`. The shared
-/// addressing of [`TileStates`] (whole-buffer window, `word_base = 0`) and
-/// each segment's partition of a [`SegmentedTileStates`].
-#[inline]
-fn group_record_at(word_base: usize, rows: usize, t: usize, g: usize) -> (Lanes<usize>, u32) {
-    let cnt = (rows - g * WARP_SIZE).min(WARP_SIZE);
-    let base = word_base + t * rows + g * WARP_SIZE;
-    (
-        lanes_from_fn(|lane| base + lane.min(cnt - 1)),
-        low_lanes_mask(cnt),
-    )
-}
-
-/// The decoupled look-back resolve over one state-word window: publish
-/// tile `t`'s per-row `aggregate` and return its exclusive per-row prefix.
-///
-/// `word_base` offsets every state-word address, so a window is a
-/// self-contained protocol instance — a walk never touches words outside
-/// `word_base .. word_base + tiles * rows`, which is what makes the
-/// per-segment partitioning of [`SegmentedTileStates`] dependency-free
-/// across segments. `ticket_base` maps the window-local tile id onto the
-/// *global* ticket space of the launch (0 for [`TileStates`], the
-/// segment's first ticket for a segmented launch): the adversarial
-/// scheduler's straggler release and stall watchdog key on claimed
-/// tickets, and the flight recorder's DAG joins publishes to resolves by
-/// ticket, so both must see global ids even when the walk is local.
-///
-/// Billing is independent of both bases: per warp-sized row group, the
-/// two record publishes plus one counted record-sized look-back read —
-/// exactly the charge [`TileStates::resolve_rows`] has always made.
-fn resolve_rows_at(
-    state: &GlobalBuffer<u64>,
-    word_base: usize,
-    ticket_base: usize,
-    rows: usize,
-    w: &WarpCtx,
-    t: usize,
-    aggregate: &[u32],
-) -> Vec<u32> {
-    assert_eq!(aggregate.len(), rows, "one aggregate per row");
-    let groups = rows.div_ceil(WARP_SIZE);
-    let gt = (ticket_base + t) as u32; // global ticket, for obs identity
-    if t == 0 {
-        for g in 0..groups {
-            let (rec, mask) = group_record_at(word_base, rows, 0, g);
-            let base = g * WARP_SIZE;
-            let cnt = (rows - base).min(WARP_SIZE);
-            w.device_scatter(
-                state,
-                rec,
-                lanes_from_fn(|l| pack(aggregate[base + l.min(cnt - 1)], FLAG_INCLUSIVE)),
-                mask,
-            );
-            // Tile 0 resolves at depth 0 (no walk). Counting it keeps
-            // `lookback_resolves == tiles * row_groups()`, a
-            // schedule-independent total.
-            w.obs().record_lookback(0);
-            w.obs()
-                .flight_emit(EventKind::PublishInclusive, gt, g as u32, 0);
-            w.obs().flight_emit(EventKind::Resolve, gt, 0, 0);
-        }
-        return vec![0; rows];
-    }
-    for g in 0..groups {
-        let (rec, mask) = group_record_at(word_base, rows, t, g);
-        let base = g * WARP_SIZE;
-        let cnt = (rows - base).min(WARP_SIZE);
-        w.device_scatter(
-            state,
-            rec,
-            lanes_from_fn(|l| pack(aggregate[base + l.min(cnt - 1)], FLAG_AGGREGATE)),
-            mask,
-        );
-        w.obs()
-            .flight_emit(EventKind::PublishAggregate, gt, g as u32, 0);
-    }
-    let mut prefix = vec![0u32; rows];
-    for g in 0..groups {
-        let base = g * WARP_SIZE;
-        let cnt = (rows - base).min(WARP_SIZE);
-        // Walk back until every row in the group has met an INCLUSIVE
-        // word. Rows resolve independently: a predecessor may have
-        // published its aggregate but not yet its inclusive record, and
-        // different rows may stop at different depths. Pure register
-        // work + uncounted polls.
-        let mut done = [false; WARP_SIZE];
-        let mut remaining = cnt;
-        let mut p = t;
-        let mut group_spins = 0u64;
-        while remaining > 0 {
-            debug_assert!(p > 0, "tile 0 always publishes INCLUSIVE");
-            p -= 1;
-            for r in 0..cnt {
-                if done[r] {
-                    continue;
-                }
-                let (word, spins) = spin_wait_published(
-                    state,
-                    word_base + p * rows + base + r,
-                    ticket_base + p,
-                    w.obs(),
-                );
-                group_spins += spins;
-                let (value, flag) = unpack(word);
-                prefix[base + r] = prefix[base + r].wrapping_add(value);
-                if flag == FLAG_INCLUSIVE {
-                    done[r] = true;
-                    remaining -= 1;
-                }
-            }
-        }
-        // Introspection: this group's walk reached back `t - p` tiles
-        // (the deepest row wins). One resolve per tile per group — that
-        // count is schedule-independent; the depth itself is not
-        // (sequential execution always stops after one hop, parallel
-        // depends on timing).
-        w.obs().record_lookback((t - p) as u64);
-        // Flight event: the causal edge `t -> p` this walk bound, plus
-        // how hard it stalled getting there. One Resolve per group, so
-        // per-kind event counts stay schedule-independent even though
-        // the depth/spin payloads are not.
-        w.obs().flight_emit(
-            EventKind::Resolve,
-            gt,
-            (t - p) as u32,
-            group_spins.min(u32::MAX as u64) as u32,
-        );
-        // Charge the look-back deterministically: one counted
-        // record-sized read per tile per group. How many extra hops the
-        // walk took depends on scheduling — charging them would break
-        // schedule independence.
-        let (prev, mask) = group_record_at(word_base, rows, t - 1, g);
-        w.device_gather(state, prev, mask);
-        w.obs()
-            .flight_emit(EventKind::LookbackRead, gt, g as u32, 0);
-        let (rec, mask) = group_record_at(word_base, rows, t, g);
-        w.device_scatter(
-            state,
-            rec,
-            lanes_from_fn(|l| {
-                let r = base + l.min(cnt - 1);
-                pack(prefix[r].wrapping_add(aggregate[r]), FLAG_INCLUSIVE)
-            }),
-            mask,
-        );
-        w.obs()
-            .flight_emit(EventKind::PublishInclusive, gt, g as u32, 0);
-    }
-    prefix
-}
-
-/// Per-tile `(aggregate | inclusive-prefix)` flag records for a chained
-/// single-pass kernel: `rows` packed words per tile (`rows = 1` for the
-/// scalar scan, `rows = m` for the fused multisplit's bucket histograms).
-pub struct TileStates {
-    state: GlobalBuffer<u64>,
-    rows: usize,
-    /// Test-only fault: this tile's `resolve_rows` returns without
-    /// publishing anything (`usize::MAX` = no fault). Lets tests prove
-    /// the stall watchdog converts a real livelock into a diagnosis.
-    stall_tile: AtomicUsize,
-}
-
-impl TileStates {
-    /// Allocate EMPTY state records for `tiles` tiles of `rows` rows each.
-    ///
-    /// `rows` may exceed the warp width: records are then processed in
-    /// [`row_groups`](Self::row_groups) warp-sized slices (one lane per
-    /// row within a group).
-    pub fn new(tiles: usize, rows: usize) -> Self {
-        assert!(rows >= 1, "tile-state records need at least one row");
-        Self {
-            state: GlobalBuffer::zeroed(tiles * rows),
-            rows,
-            stall_tile: AtomicUsize::new(usize::MAX),
-        }
-    }
-
-    /// **Test-only fault injection**: make tile `t`'s `resolve_rows`
-    /// return immediately without publishing AGGREGATE or INCLUSIVE —
-    /// every successor's look-back walk then spins on EMPTY words
-    /// forever. Under an adversarial schedule the stall watchdog must
-    /// convert that livelock into a structured abort; that conversion is
-    /// exactly what the injected-stall tests assert.
-    pub fn inject_publish_stall(&self, t: usize) {
-        self.stall_tile.store(t, Ordering::Relaxed);
-    }
-
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    pub fn tiles(&self) -> usize {
-        self.state.len() / self.rows
-    }
-
-    /// Number of warp-sized row groups each tile's record spans (1 for
-    /// `rows <= 32`). The deterministic look-back charge is one counted
-    /// record-sized read *per group*, so `lookback_resolves` totals
-    /// `tiles * row_groups()` for a complete kernel.
-    pub fn row_groups(&self) -> usize {
-        self.rows.div_ceil(WARP_SIZE)
-    }
-
-    /// Lane-indexed word addresses and active mask of group `g` of tile
-    /// `t`'s record (lane `r` = row `g*32 + r`). Group 0 of a
-    /// `rows <= 32` record is exactly the scalar/vector record the chained
-    /// scan has always used.
-    #[inline]
-    fn group_record(&self, t: usize, g: usize) -> (Lanes<usize>, u32) {
-        group_record_at(0, self.rows, t, g)
-    }
-
-    /// Publish tile `t`'s per-row `aggregate` and resolve its exclusive
-    /// prefix (per row: the sum of that row's aggregates over tiles
-    /// `0..t`) by decoupled look-back; publishes the inclusive record
-    /// before returning. Lane-shaped convenience wrapper over
-    /// [`resolve_rows`](Self::resolve_rows) for `rows <= 32` (the chained
-    /// scan and the fused `m <= 32` sweep); lanes beyond `self.rows`
-    /// return 0. The one-group path issues exactly the operation sequence
-    /// the scalar chained scan always has, so its billing is bit-for-bit
-    /// unchanged.
-    ///
-    /// Warp-synchronous: call from a single warp (conventionally warp 0);
-    /// `t` must have been claimed via a device-scope ticket `fetch_add`
-    /// (see the module docs on deadlock freedom).
-    pub fn resolve(&self, w: &WarpCtx, t: usize, aggregate: Lanes<u32>) -> Lanes<u32> {
-        assert!(
-            self.rows <= WARP_SIZE,
-            "lane-shaped resolve covers rows <= 32; use resolve_rows"
-        );
-        let prefix = self.resolve_rows(w, t, &aggregate[..self.rows]);
-        lanes_from_fn(|l| prefix.get(l).copied().unwrap_or(0))
-    }
-
-    /// Multi-row [`resolve`](Self::resolve): publish tile `t`'s per-row
-    /// `aggregate` (`aggregate.len() == self.rows`, any size) and return
-    /// its exclusive per-row prefix.
-    ///
-    /// The record is handled in warp-sized row groups. All groups'
-    /// AGGREGATE words publish before any group walks, so successors
-    /// spinning on a later group never wait for this tile's earlier-group
-    /// walk to finish. Each group is then walked and charged
-    /// independently — one `record_lookback` and one counted record-sized
-    /// read per group per tile — so summed stats stay
-    /// schedule-independent and `rows <= 32` (one group) reproduces the
-    /// chained scan's billing exactly.
-    pub fn resolve_rows(&self, w: &WarpCtx, t: usize, aggregate: &[u32]) -> Vec<u32> {
-        assert_eq!(aggregate.len(), self.rows, "one aggregate per row");
-        if self.stall_tile.load(Ordering::Relaxed) == t {
-            // Injected fault (see `inject_publish_stall`): hang this
-            // tile's publishes forever. Successors now spin on EMPTY.
-            return vec![0; self.rows];
-        }
-        resolve_rows_at(&self.state, 0, 0, self.rows, w, t, aggregate)
-    }
-
-    /// Device-side counted read of tile `t`'s resolved record: the
-    /// per-row *inclusive* prefixes it published. Bills exactly one
-    /// counted record-sized `device_gather` per row group — the same
-    /// deterministic charge [`resolve_rows`](Self::resolve_rows) uses for
-    /// its look-back read — so a kernel that reads predecessor records
-    /// (the onesweep scatter pass) keeps schedule-independent stats.
-    ///
-    /// The record must already be INCLUSIVE (e.g. published by an earlier
-    /// launch; a launch boundary is a device-wide barrier). This does not
-    /// spin: reading an unresolved record is a caller bug, caught by the
-    /// debug assertion.
-    pub fn read_record(&self, w: &WarpCtx, t: usize) -> Vec<u32> {
-        let rows = self.rows;
-        let mut vals = vec![0u32; rows];
-        for g in 0..self.row_groups() {
-            let (rec, mask) = self.group_record(t, g);
-            let words = w.device_gather(&self.state, rec, mask);
-            w.obs()
-                .flight_emit(EventKind::LookbackRead, t as u32, g as u32, 0);
-            let base = g * WARP_SIZE;
-            let cnt = (rows - base).min(WARP_SIZE);
-            for l in 0..cnt {
-                let (value, flag) = unpack(words[l]);
-                debug_assert_eq!(
-                    flag,
-                    FLAG_INCLUSIVE,
-                    "read_record requires a resolved record (tile {t} row {})",
-                    base + l
-                );
-                vals[base + l] = value;
-            }
-        }
-        vals
-    }
-
-    /// Host-side read of one row's grand total (the last tile's inclusive
-    /// value). Only valid after the kernel has completed.
-    pub fn total(&self, row: usize) -> u32 {
-        assert!(row < self.rows);
-        let (value, flag) = unpack(self.state.get((self.tiles() - 1) * self.rows + row));
-        debug_assert_eq!(
-            flag, FLAG_INCLUSIVE,
-            "last tile must have resolved its inclusive prefix"
-        );
-        value
-    }
-
-    /// Host-side read of every row's grand total — the last tile's
-    /// inclusive record. This is the readback that lets a single-pass
-    /// kernel drop its separate global-totals buffer: the chained
-    /// protocol's final record *is* the per-bucket total count. Uncounted
-    /// host reads, matching the uncounted `totals.get(b)` convention of
-    /// the two-launch paths.
-    pub fn row_totals(&self) -> Vec<u32> {
-        (0..self.rows).map(|r| self.total(r)).collect()
-    }
-}
-
-/// One segment's window into a [`SegmentedTileStates`] buffer.
+/// One window of a [`SegmentedTileStates`] buffer.
 #[derive(Debug, Clone, Copy)]
 struct SegWindow {
-    /// First state word of this segment's partition.
+    /// First state word of this window's partition.
     word_base: usize,
-    /// Global ticket of this segment's tile 0 (segments' tiles are laid
+    /// Global ticket of this window's tile 0 (windows' tiles are laid
     /// out consecutively in the launch's flattened ticket space).
     tile_base: usize,
     tiles: usize,
     rows: usize,
 }
 
-/// Per-segment partitioned tile states for a **single-launch segmented**
-/// chained kernel: many independent look-back protocol instances packed
-/// into one state buffer.
+impl SegWindow {
+    /// Lane-indexed word addresses and active mask of group `g` of local
+    /// tile `t`'s record (lane `r` = row `g*32 + r`). Group 0 of a
+    /// `rows <= 32` record is exactly the scalar/vector record the chained
+    /// scan has always used.
+    #[inline]
+    fn group_record(&self, t: usize, g: usize) -> (Lanes<usize>, u32) {
+        let cnt = (self.rows - g * WARP_SIZE).min(WARP_SIZE);
+        let base = self.word_base + t * self.rows + g * WARP_SIZE;
+        (
+            lanes_from_fn(|lane| base + lane.min(cnt - 1)),
+            low_lanes_mask(cnt),
+        )
+    }
+}
+
+/// Per-tile `(aggregate | inclusive-prefix)` flag records for chained
+/// single-pass kernels: one window of `tiles × rows` packed words per
+/// independent problem (`rows = 1` for the scalar scan, `rows = m` for a
+/// multisplit's bucket histograms), all in one state buffer.
 ///
-/// Each segment `s` owns a contiguous window of `tiles(s) * rows(s)`
-/// state words; [`resolve_rows`](Self::resolve_rows) runs the exact
-/// [`TileStates::resolve_rows`] protocol *inside that window*, so a tile
-/// only ever waits on earlier tiles **of its own segment** — no
-/// cross-segment dependency exists, and one stalled segment cannot wedge
-/// another's walks.
-///
-/// ### Deadlock freedom in the flattened ticket space
-///
-/// The segmented kernel claims tickets from one device counter over the
-/// concatenated tile ranges (segment `s`'s local tile `t` is global
-/// ticket `tile_base(s) + t`). Because segments' tiles are consecutive,
-/// local tile `t` waits only on local `t - 1` = global ticket
-/// `tile_base(s) + t - 1` — a strictly earlier ticket, i.e. an
-/// already-started block, exactly the [`TileStates`] invariant. The
-/// global ticket is also what the walk reports to the adversarial
+/// [`resolve_rows`](Self::resolve_rows) runs the look-back protocol
+/// *inside one window*, so a tile only ever waits on earlier tiles **of
+/// its own window** — no cross-window dependency exists, and one stalled
+/// segment cannot wedge another's walks. The global ticket
+/// (`tile_base(window) + t`) is what the walk reports to the adversarial
 /// scheduler's stall watchdog and the flight recorder, so segmented
 /// launches keep full causal observability.
-///
-/// ### Billing
-///
-/// Identical to a [`TileStates::new(tiles(s), rows(s))`](TileStates::new)
-/// per segment: per warp-sized row group, two record publishes plus one
-/// counted record-sized look-back read — so a segmented launch's summed
-/// look-back stats equal the sum of the per-segment launches it replaces
-/// (the serve front-end's ±5% sector acceptance leans on this).
 pub struct SegmentedTileStates {
     state: GlobalBuffer<u64>,
     segs: Vec<SegWindow>,
+    /// Test-only fault: the tile holding this global ticket returns from
+    /// `resolve_rows` without publishing anything (`usize::MAX` = no
+    /// fault). Lets tests prove the stall watchdog converts a real
+    /// livelock into a diagnosis.
+    stall_tile: AtomicUsize,
 }
 
 impl SegmentedTileStates {
-    /// Allocate EMPTY state windows for segments of `(tiles, rows)` each.
-    /// Zero-tile segments (empty inputs) are allowed and own no words;
-    /// `rows >= 1` is required for every segment regardless.
+    /// Allocate EMPTY state windows for problems of `(tiles, rows)` each;
+    /// a single part is the one-window state of a single-problem kernel
+    /// (word and ticket bases 0).
+    /// Zero-tile windows (empty inputs) are allowed and own no words;
+    /// `rows >= 1` is required for every window regardless. `rows` may
+    /// exceed the warp width: records are then processed in warp-sized
+    /// row groups (one lane per row within a group).
     pub fn new(parts: &[(usize, usize)]) -> Self {
         let mut segs = Vec::with_capacity(parts.len());
         let mut word_base = 0usize;
@@ -489,71 +192,175 @@ impl SegmentedTileStates {
         Self {
             state: GlobalBuffer::zeroed(word_base),
             segs,
+            stall_tile: AtomicUsize::new(usize::MAX),
         }
     }
 
-    pub fn segments(&self) -> usize {
-        self.segs.len()
-    }
-
-    pub fn tiles(&self, seg: usize) -> usize {
-        self.segs[seg].tiles
+    /// **Test-only fault injection**: make the tile holding global ticket
+    /// `t` return from `resolve_rows` without publishing AGGREGATE or
+    /// INCLUSIVE — every successor's look-back walk then spins on EMPTY
+    /// words forever. Under an adversarial schedule the stall watchdog
+    /// must convert that livelock into a structured abort; that
+    /// conversion is exactly what the injected-stall tests assert.
+    pub fn inject_publish_stall(&self, t: usize) {
+        self.stall_tile.store(t, Ordering::Relaxed);
     }
 
     pub fn rows(&self, seg: usize) -> usize {
         self.segs[seg].rows
     }
 
-    /// Global ticket of segment `seg`'s local tile 0.
-    pub fn tile_base(&self, seg: usize) -> usize {
-        self.segs[seg].tile_base
-    }
-
-    /// Total tiles across all segments — the launch's block count.
+    /// Total tiles across all windows — the launch's block count.
     pub fn total_tiles(&self) -> usize {
         self.segs.last().map_or(0, |s| s.tile_base + s.tiles)
     }
 
-    /// Warp-sized row groups of segment `seg`'s records (1 for `m <= 32`).
-    pub fn row_groups(&self, seg: usize) -> usize {
-        self.segs[seg].rows.div_ceil(WARP_SIZE)
+    /// Global ticket of window `seg`'s local tile `t`.
+    pub fn ticket(&self, seg: usize, t: usize) -> usize {
+        self.segs[seg].tile_base + t
     }
 
-    /// [`TileStates::resolve`] inside segment `seg`'s window: lane-shaped
-    /// wrapper for `rows <= 32`; lanes beyond the segment's rows return 0.
+    /// Lane-shaped [`resolve_rows`](Self::resolve_rows) for `rows <= 32`
+    /// (the chained scan and the fused `m <= 32` sweep); lanes beyond the
+    /// window's rows return 0. The one-group path issues exactly the
+    /// operation sequence the scalar chained scan always has.
     pub fn resolve(&self, w: &WarpCtx, seg: usize, t: usize, aggregate: Lanes<u32>) -> Lanes<u32> {
-        let sw = self.segs[seg];
+        let rows = self.segs[seg].rows;
         assert!(
-            sw.rows <= WARP_SIZE,
+            rows <= WARP_SIZE,
             "lane-shaped resolve covers rows <= 32; use resolve_rows"
         );
-        let prefix = self.resolve_rows(w, seg, t, &aggregate[..sw.rows]);
+        let prefix = self.resolve_rows(w, seg, t, &aggregate[..rows]);
         lanes_from_fn(|l| prefix.get(l).copied().unwrap_or(0))
     }
 
-    /// [`TileStates::resolve_rows`] inside segment `seg`'s window:
-    /// publish local tile `t`'s per-row aggregate and resolve its
-    /// exclusive per-row prefix by decoupled look-back over **this
-    /// segment's tiles only**. `t` is segment-local; it must correspond to
-    /// global ticket `tile_base(seg) + t` claimed via the launch's shared
-    /// ticket counter (see the type docs on deadlock freedom).
+    /// Publish local tile `t`'s per-row `aggregate` in window `seg` and
+    /// return its exclusive per-row prefix (per row: the sum of that row's
+    /// aggregates over the window's tiles `0..t`) by decoupled look-back;
+    /// publishes the inclusive record before returning.
+    ///
+    /// The record is handled in warp-sized row groups. All groups'
+    /// AGGREGATE words publish before any group walks, so successors
+    /// spinning on a later group never wait for this tile's earlier-group
+    /// walk to finish. Each group is then walked and charged
+    /// independently — one `record_lookback` and one counted record-sized
+    /// read per group per tile — so summed stats stay
+    /// schedule-independent.
+    ///
+    /// Warp-synchronous: call from a single warp (conventionally warp 0);
+    /// the tile must hold global ticket [`ticket(seg, t)`](Self::ticket),
+    /// claimed via a device-scope `fetch_add` (see the module docs on
+    /// deadlock freedom).
     pub fn resolve_rows(&self, w: &WarpCtx, seg: usize, t: usize, aggregate: &[u32]) -> Vec<u32> {
         let sw = self.segs[seg];
-        assert!(t < sw.tiles, "tile {t} out of segment {seg}'s range");
-        resolve_rows_at(
-            &self.state,
-            sw.word_base,
-            sw.tile_base,
-            sw.rows,
-            w,
-            t,
-            aggregate,
-        )
+        let rows = sw.rows;
+        let gt = sw.tile_base + t; // global ticket, for obs identity
+        if self.stall_tile.load(Ordering::Relaxed) == gt {
+            // Injected fault (see `inject_publish_stall`): hang this
+            // tile's publishes forever. Successors now spin on EMPTY.
+            return vec![0; rows];
+        }
+        assert!(t < sw.tiles, "tile {t} out of window {seg}'s range");
+        assert_eq!(aggregate.len(), rows, "one aggregate per row");
+        let groups = rows.div_ceil(WARP_SIZE);
+        let publish = |g: usize, flag: u64, vals: &dyn Fn(usize) -> u32| {
+            let (rec, mask) = sw.group_record(t, g);
+            let base = g * WARP_SIZE;
+            let cnt = (rows - base).min(WARP_SIZE);
+            w.device_scatter(
+                &self.state,
+                rec,
+                lanes_from_fn(|l| pack(vals(base + l.min(cnt - 1)), flag)),
+                mask,
+            );
+            let kind = if flag == FLAG_INCLUSIVE {
+                EventKind::PublishInclusive
+            } else {
+                EventKind::PublishAggregate
+            };
+            w.obs().flight_emit(kind, gt as u32, g as u32, 0);
+        };
+        if t == 0 {
+            for g in 0..groups {
+                publish(g, FLAG_INCLUSIVE, &|r| aggregate[r]);
+                // Tile 0 resolves at depth 0 (no walk). Counting it keeps
+                // `lookback_resolves == tiles * row groups`, a
+                // schedule-independent total.
+                w.obs().record_lookback(0);
+                w.obs().flight_emit(EventKind::Resolve, gt as u32, 0, 0);
+            }
+            return vec![0; rows];
+        }
+        for g in 0..groups {
+            publish(g, FLAG_AGGREGATE, &|r| aggregate[r]);
+        }
+        let mut prefix = vec![0u32; rows];
+        for g in 0..groups {
+            let base = g * WARP_SIZE;
+            let cnt = (rows - base).min(WARP_SIZE);
+            // Walk back until every row in the group has met an INCLUSIVE
+            // word. Rows resolve independently: a predecessor may have
+            // published its aggregate but not yet its inclusive record, and
+            // different rows may stop at different depths. Pure register
+            // work + uncounted polls.
+            let mut done = [false; WARP_SIZE];
+            let mut remaining = cnt;
+            let mut p = t;
+            let mut group_spins = 0u64;
+            while remaining > 0 {
+                debug_assert!(p > 0, "tile 0 always publishes INCLUSIVE");
+                p -= 1;
+                for r in 0..cnt {
+                    if done[r] {
+                        continue;
+                    }
+                    let (word, spins) = spin_wait_published(
+                        &self.state,
+                        sw.word_base + p * rows + base + r,
+                        sw.tile_base + p,
+                        w.obs(),
+                    );
+                    group_spins += spins;
+                    let (value, flag) = unpack(word);
+                    prefix[base + r] = prefix[base + r].wrapping_add(value);
+                    if flag == FLAG_INCLUSIVE {
+                        done[r] = true;
+                        remaining -= 1;
+                    }
+                }
+            }
+            // Introspection: this group's walk reached back `t - p` tiles
+            // (the deepest row wins). One resolve per tile per group — that
+            // count is schedule-independent; the depth itself is not
+            // (sequential execution always stops after one hop, parallel
+            // depends on timing).
+            w.obs().record_lookback((t - p) as u64);
+            // Flight event: the causal edge `t -> p` this walk bound, plus
+            // how hard it stalled getting there. One Resolve per group, so
+            // per-kind event counts stay schedule-independent even though
+            // the depth/spin payloads are not.
+            w.obs().flight_emit(
+                EventKind::Resolve,
+                gt as u32,
+                (t - p) as u32,
+                group_spins.min(u32::MAX as u64) as u32,
+            );
+            // Charge the look-back deterministically: one counted
+            // record-sized read per tile per group. How many extra hops the
+            // walk took depends on scheduling — charging them would break
+            // schedule independence.
+            let (prev, mask) = sw.group_record(t - 1, g);
+            w.device_gather(&self.state, prev, mask);
+            w.obs()
+                .flight_emit(EventKind::LookbackRead, gt as u32, g as u32, 0);
+            publish(g, FLAG_INCLUSIVE, &|r| prefix[r].wrapping_add(aggregate[r]));
+        }
+        prefix
     }
 
-    /// Host-side read of one row's grand total within segment `seg` (its
+    /// Host-side read of one row's grand total within window `seg` (its
     /// last tile's inclusive value). Only valid after the kernel
-    /// completed; segments with zero tiles have total 0 by construction.
+    /// completed; windows with zero tiles have total 0 by construction.
     pub fn total(&self, seg: usize, row: usize) -> u32 {
         let sw = self.segs[seg];
         assert!(row < sw.rows);
@@ -569,13 +376,6 @@ impl SegmentedTileStates {
             "last tile must have resolved its inclusive prefix"
         );
         value
-    }
-
-    /// Host-side read of every row's grand total within segment `seg`.
-    pub fn row_totals(&self, seg: usize) -> Vec<u32> {
-        (0..self.segs[seg].rows)
-            .map(|r| self.total(seg, r))
-            .collect()
     }
 }
 
@@ -602,14 +402,14 @@ mod tests {
         // aggregate of tile t, row r
         let agg = |t: usize, r: usize| ((t * 31 + r * 7) % 13) as u32;
         for dev in [Device::new(K40C), Device::sequential(K40C)] {
-            let states = TileStates::new(tiles, rows);
+            let states = SegmentedTileStates::new(&[(tiles, rows)]);
             let ticket = simt::GlobalBuffer::<u32>::zeroed(1);
             let out = simt::GlobalBuffer::<u32>::zeroed(tiles * rows);
             dev.launch("lookback-test", tiles, 1, |blk| {
                 let w = blk.warp(0);
                 let t = w.device_fetch_add(&ticket, 0, 1) as usize;
                 let a = lanes_from_fn(|l| agg(t, l.min(rows - 1)));
-                let prefix = states.resolve(&w, t, a);
+                let prefix = states.resolve(&w, 0, t, a);
                 w.scatter_merged(
                     &out,
                     lanes_from_fn(|l| t * rows + l.min(rows - 1)),
@@ -627,7 +427,7 @@ mod tests {
             }
             for r in 0..rows {
                 let expect: u32 = (0..tiles).map(|p| agg(p, r)).sum();
-                assert_eq!(states.total(r), expect, "grand total row {r}");
+                assert_eq!(states.total(0, r), expect, "grand total row {r}");
             }
         }
     }
@@ -637,12 +437,12 @@ mod tests {
         let (tiles, rows) = (200usize, 32usize);
         let mut all = Vec::new();
         for dev in [Device::new(K40C), Device::sequential(K40C)] {
-            let states = TileStates::new(tiles, rows);
+            let states = SegmentedTileStates::new(&[(tiles, rows)]);
             let ticket = simt::GlobalBuffer::<u32>::zeroed(1);
             dev.launch("lookback-stats", tiles, 1, |blk| {
                 let w = blk.warp(0);
                 let t = w.device_fetch_add(&ticket, 0, 1) as usize;
-                states.resolve(&w, t, lanes_from_fn(|l| l as u32));
+                states.resolve(&w, 0, t, lanes_from_fn(|l| l as u32));
             });
             all.push(dev.records()[0].stats);
         }
@@ -664,12 +464,12 @@ mod tests {
             .into_iter()
             .enumerate()
         {
-            let states = TileStates::new(tiles, rows);
+            let states = SegmentedTileStates::new(&[(tiles, rows)]);
             let ticket = simt::GlobalBuffer::<u32>::zeroed(1);
             dev.launch("lookback-obs", tiles, 1, |blk| {
                 let w = blk.warp(0);
                 let t = w.device_fetch_add(&ticket, 0, 1) as usize;
-                states.resolve(&w, t, lanes_from_fn(|l| l as u32));
+                states.resolve(&w, 0, t, lanes_from_fn(|l| l as u32));
             });
             let obs = dev.records()[0].obs;
             assert_eq!(obs.lookback_resolves, tiles as u64, "one resolve per tile");
@@ -697,14 +497,14 @@ mod tests {
         let (tiles, rows) = (41usize, 70usize);
         let agg = |t: usize, r: usize| ((t * 13 + r * 5) % 17) as u32;
         for dev in [Device::new(K40C), Device::sequential(K40C)] {
-            let states = TileStates::new(tiles, rows);
+            let states = SegmentedTileStates::new(&[(tiles, rows)]);
             let ticket = simt::GlobalBuffer::<u32>::zeroed(1);
             let out = simt::GlobalBuffer::<u32>::zeroed(tiles * rows);
             dev.launch("lookback-multirow", tiles, 1, |blk| {
                 let w = blk.warp(0);
                 let t = w.device_fetch_add(&ticket, 0, 1) as usize;
                 let a: Vec<u32> = (0..rows).map(|r| agg(t, r)).collect();
-                let prefix = states.resolve_rows(&w, t, &a);
+                let prefix = states.resolve_rows(&w, 0, t, &a);
                 for (r, &p) in prefix.iter().enumerate() {
                     out.set(t * rows + r, p);
                 }
@@ -718,7 +518,7 @@ mod tests {
             }
             for r in 0..rows {
                 let expect: u32 = (0..tiles).map(|p| agg(p, r)).sum();
-                assert_eq!(states.total(r), expect, "grand total row {r}");
+                assert_eq!(states.total(0, r), expect, "grand total row {r}");
             }
         }
     }
@@ -732,21 +532,21 @@ mod tests {
         let mut runs = Vec::new();
         for use_rows in [false, true] {
             let dev = Device::sequential(K40C);
-            let states = TileStates::new(tiles, 1);
+            let states = SegmentedTileStates::new(&[(tiles, 1)]);
             let ticket = simt::GlobalBuffer::<u32>::zeroed(1);
             dev.launch("lookback-rows1", tiles, 1, |blk| {
                 let w = blk.warp(0);
                 let t = w.device_fetch_add(&ticket, 0, 1) as usize;
                 if use_rows {
-                    let p = states.resolve_rows(&w, t, &[t as u32]);
+                    let p = states.resolve_rows(&w, 0, t, &[t as u32]);
                     assert_eq!(p.len(), 1);
                 } else {
-                    let p = states.resolve(&w, t, simt::splat(t as u32));
+                    let p = states.resolve(&w, 0, t, simt::splat(t as u32));
                     assert_eq!(p[1], 0, "lanes beyond the rows return 0");
                 }
             });
             let rec = &dev.records()[0];
-            runs.push((rec.stats, rec.obs, states.total(0)));
+            runs.push((rec.stats, rec.obs, states.total(0, 0)));
         }
         assert_eq!(
             runs[0], runs[1],
@@ -754,58 +554,9 @@ mod tests {
         );
     }
 
-    /// A second launch can read back predecessors' resolved records with
-    /// the same per-group counted charge the walk uses; values match the
-    /// host reference (inclusive prefixes) and billing is
-    /// schedule-independent.
-    #[test]
-    fn read_record_returns_inclusive_prefixes_with_counted_billing() {
-        let (tiles, rows) = (23usize, 40usize);
-        let agg = |t: usize, r: usize| ((t * 11 + r * 3) % 19) as u32;
-        let mut stats = Vec::new();
-        for dev in [Device::new(K40C), Device::sequential(K40C)] {
-            let states = TileStates::new(tiles, rows);
-            let ticket = simt::GlobalBuffer::<u32>::zeroed(1);
-            dev.launch("readback-resolve", tiles, 1, |blk| {
-                let w = blk.warp(0);
-                let t = w.device_fetch_add(&ticket, 0, 1) as usize;
-                let a: Vec<u32> = (0..rows).map(|r| agg(t, r)).collect();
-                states.resolve_rows(&w, t, &a);
-            });
-            // Launch boundary: every record is INCLUSIVE, no spinning.
-            let out = simt::GlobalBuffer::<u32>::zeroed(tiles * rows);
-            dev.launch("readback-read", tiles, 1, |blk| {
-                let w = blk.warp(0);
-                let t = blk.block_id;
-                let rec = states.read_record(&w, t);
-                for (r, &v) in rec.iter().enumerate() {
-                    out.set(t * rows + r, v);
-                }
-            });
-            let got = out.to_vec();
-            for t in 0..tiles {
-                for r in 0..rows {
-                    let expect: u32 = (0..=t).map(|p| agg(p, r)).sum();
-                    assert_eq!(got[t * rows + r], expect, "tile {t} row {r}");
-                }
-            }
-            assert_eq!(
-                states.row_totals(),
-                (0..rows)
-                    .map(|r| (0..tiles).map(|p| agg(p, r)).sum::<u32>())
-                    .collect::<Vec<_>>()
-            );
-            stats.push(dev.records()[1].stats);
-        }
-        assert_eq!(
-            stats[0], stats[1],
-            "record readback must bill schedule-independently"
-        );
-    }
-
     /// Multi-group records resolve once per tile per group, and the
     /// histogram invariant stays row-aware: buckets sum to
-    /// `tiles * row_groups()` on every schedule.
+    /// `tiles * ⌈rows / 32⌉` on every schedule.
     #[test]
     fn multi_group_obs_totals_are_schedule_independent() {
         let (tiles, rows) = (60usize, 70usize);
@@ -816,14 +567,13 @@ mod tests {
             .into_iter()
             .enumerate()
         {
-            let states = TileStates::new(tiles, rows);
-            assert_eq!(states.row_groups(), groups);
+            let states = SegmentedTileStates::new(&[(tiles, rows)]);
             let ticket = simt::GlobalBuffer::<u32>::zeroed(1);
             dev.launch("lookback-multirow-obs", tiles, 1, |blk| {
                 let w = blk.warp(0);
                 let t = w.device_fetch_add(&ticket, 0, 1) as usize;
                 let a: Vec<u32> = (0..rows).map(|r| r as u32).collect();
-                states.resolve_rows(&w, t, &a);
+                states.resolve_rows(&w, 0, t, &a);
             });
             let obs = dev.records()[0].obs;
             assert_eq!(
@@ -890,7 +640,7 @@ mod tests {
 
     /// The partitioning contract the serve front-end's sector acceptance
     /// leans on: one segmented launch bills exactly the sum of the
-    /// per-segment [`TileStates`] launches it replaces, and the billing
+    /// one-window launches it replaces, and the billing
     /// is schedule-independent.
     #[test]
     fn segmented_billing_equals_sum_of_per_segment_launches() {
@@ -927,19 +677,19 @@ mod tests {
             seg_stats[0], seg_stats[1],
             "segmented look-back billing must be schedule-independent"
         );
-        // Per-segment reference: one TileStates launch per segment.
+        // Per-segment reference: one one-window launch per segment.
         let dev = Device::sequential(K40C);
         for (s, &(tiles, rows)) in parts.iter().enumerate() {
             if tiles == 0 {
                 continue;
             }
-            let states = TileStates::new(tiles, rows);
+            let states = SegmentedTileStates::new(&[(tiles, rows)]);
             let ticket = simt::GlobalBuffer::<u32>::zeroed(1);
             dev.launch("lookback-one-segment", tiles, 1, |blk| {
                 let w = blk.warp(0);
                 let t = w.device_fetch_add(&ticket, 0, 1) as usize;
                 let a: Vec<u32> = (0..rows).map(|r| agg(s, t, r)).collect();
-                states.resolve_rows(&w, t, &a);
+                states.resolve_rows(&w, 0, t, &a);
             });
         }
         assert_eq!(

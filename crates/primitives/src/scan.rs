@@ -35,7 +35,7 @@ use std::cell::Cell;
 use simt::{lanes_from_fn, BlockCtx, Device, GlobalBuffer, SharedBuf, WARP_SIZE};
 
 use crate::block_scan::{low_lanes_mask, tail_mask};
-use crate::lookback::TileStates;
+use crate::lookback::SegmentedTileStates;
 use crate::warp_scan;
 
 /// Thread coarsening factor for scan kernels.
@@ -167,8 +167,9 @@ pub fn chained_scan_u32(
     let tile = scan_tile(warps_per_block);
     let blocks = n.div_ceil(tile);
     let ticket = GlobalBuffer::<u32>::zeroed(1);
-    // Scalar prefixes: one-row tile-state records (see `lookback`).
-    let states = TileStates::new(blocks, 1);
+    // Scalar prefixes: one window of one-row tile-state records (see
+    // `lookback`).
+    let states = SegmentedTileStates::new(&[(blocks, 1)]);
     dev.launch(
         &format!("{label}/scan-chained"),
         blocks,
@@ -195,7 +196,7 @@ pub fn chained_scan_u32(
             // traffic, negligible next to the tile's 2·tile elements).
             let block_base = {
                 let w = blk.warp(0);
-                states.resolve(&w, t, simt::splat(aggregate))[0]
+                states.resolve(&w, 0, t, simt::splat(aggregate))[0]
             };
             blk.sync();
             // 4. Add the resolved prefix and write the tile's output.
@@ -217,7 +218,7 @@ pub fn chained_scan_u32(
             }
         },
     );
-    states.total(0)
+    states.total(0, 0)
 }
 
 /// Recursive reduce / scan-partials / downsweep scan (the pre-chained

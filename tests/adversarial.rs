@@ -134,35 +134,6 @@ fn straggler_multi_row_lookback_terminates_and_matches_sequential() {
     }
 }
 
-/// Onesweep chains the per-tile m-vector histograms themselves through the
-/// multi-row look-back (no separate pre-scan publishes totals first), so
-/// the Straggler policy parking the tile-0 publisher attacks its only
-/// source of global bucket counts. Termination plus a bit-identical
-/// fingerprint is the deadlock-freedom proof for the chained-histogram
-/// walk, across both a single row group (m = 32) and a ragged one (m = 13).
-#[test]
-fn straggler_onesweep_chained_histograms_terminate_and_match_sequential() {
-    let keys = gen_keys(6000, 0xAD07);
-    for (kv, m) in [(false, 32u32), (true, 32), (false, 13)] {
-        let seq = run_fingerprint(&Device::sequential(K40C), Method::Onesweep, &keys, kv, m);
-        let adv = run_fingerprint(
-            &Device::adversarial(K40C, AdvSchedule::with_flavor(0xFACE, AdvFlavor::Straggler)),
-            Method::Onesweep,
-            &keys,
-            kv,
-            m,
-        );
-        assert_eq!(seq, adv, "kv={kv} m={m}: straggler onesweep run diverges");
-        let vals: Vec<u32> = (0..6000).collect();
-        let (ek, ev, eo) = multisplit_kv_ref(&keys, kv.then_some(&vals[..]), &RangeBuckets::new(m));
-        assert_eq!(adv.keys, ek, "kv={kv} m={m}");
-        assert_eq!(adv.offsets, eo, "kv={kv} m={m}");
-        if kv {
-            assert_eq!(adv.values.as_deref(), Some(&ev[..]), "kv={kv} m={m}");
-        }
-    }
-}
-
 /// Every method under every adversarial flavor agrees with the sequential
 /// device and the CPU reference — outputs, label sequences, counted
 /// per-launch stats, and look-back resolve counts.
@@ -176,7 +147,6 @@ fn all_methods_agree_with_sequential_under_every_flavor() {
         (Method::LargeM, 64),
         (Method::Fused, 13),
         (Method::FusedLargeM, 64),
-        (Method::Onesweep, 13),
     ] {
         let seq = run_fingerprint(&Device::sequential(K40C), method, &keys, false, m);
         let (ek, _, eo) = multisplit_kv_ref(&keys, None, &RangeBuckets::new(m));
@@ -262,7 +232,7 @@ fn per_block_telemetry_is_schedule_independent_up_to_block_order() {
 }
 
 /// ISSUE 8 acceptance: a *real* livelock — tile 1's publish suppressed via
-/// `TileStates::inject_publish_stall` — must terminate through the stall
+/// `SegmentedTileStates::inject_publish_stall` — must terminate through the stall
 /// watchdog with a structured diagnosis naming the blocked ticket, instead
 /// of hanging the process. The panic payload is the watchdog's diagnosis
 /// string: headline plus wait-for-graph snapshot.
@@ -270,7 +240,7 @@ fn per_block_telemetry_is_schedule_independent_up_to_block_order() {
 fn injected_publish_stall_trips_the_watchdog_with_a_diagnosis() {
     use simt::{lanes_from_fn, splat};
     let blocks = 8usize;
-    let states = primitives::TileStates::new(blocks, 1);
+    let states = primitives::SegmentedTileStates::new(&[(blocks, 1)]);
     states.inject_publish_stall(1);
     let ticket = GlobalBuffer::<u32>::zeroed(1);
     let dev = Device::adversarial(
@@ -281,7 +251,7 @@ fn injected_publish_stall_trips_the_watchdog_with_a_diagnosis() {
         dev.launch("stall/kernel", blocks, 1, |blk| {
             for w in blk.warps() {
                 let t = w.device_fetch_add(&ticket, 0, 1) as usize;
-                let _ = states.resolve(&w, t, splat(1));
+                let _ = states.resolve(&w, 0, t, splat(1));
                 let _ = lanes_from_fn(|l| l); // keep lane helpers exercised
             }
         });
@@ -323,7 +293,7 @@ fn injected_stall_terminates_under_every_flavor() {
     ] {
         use simt::splat;
         let blocks = 4usize;
-        let states = primitives::TileStates::new(blocks, 1);
+        let states = primitives::SegmentedTileStates::new(&[(blocks, 1)]);
         states.inject_publish_stall(0);
         let ticket = GlobalBuffer::<u32>::zeroed(1);
         let dev = Device::adversarial(
@@ -334,7 +304,7 @@ fn injected_stall_terminates_under_every_flavor() {
             dev.launch("stall/flavors", blocks, 1, |blk| {
                 for w in blk.warps() {
                     let t = w.device_fetch_add(&ticket, 0, 1) as usize;
-                    let _ = states.resolve(&w, t, splat(1));
+                    let _ = states.resolve(&w, 0, t, splat(1));
                 }
             });
         }))

@@ -1,24 +1,23 @@
 //! Degenerate-input matrix (ISSUE 5 satellite): zero-length,
 //! single-element, and all-one-bucket inputs across every public entry
 //! point — host-slice multisplit and multisplit_kv, multisplit_device for
-//! all seven methods, the compaction primitives, and both scan strategies —
+//! all six methods, the compaction primitives, and both scan strategies —
 //! on parallel, sequential, and adversarial devices alike.
 
 use multisplit::{
-    multisplit, multisplit_device, multisplit_kv, multisplit_kv_ref, no_values, FnBuckets, Method,
-    RangeBuckets,
+    multisplit, multisplit_device, multisplit_kv, multisplit_kv_ref, multisplit_segmented,
+    no_values, BucketFn, FnBuckets, Method, RangeBuckets, SegmentSpec,
 };
 use primitives::ScanStrategy;
 use simt::{AdvSchedule, Device, GlobalBuffer, K40C};
 
-const METHODS: [Method; 7] = [
+const METHODS: [Method; 6] = [
     Method::Direct,
     Method::WarpLevel,
     Method::BlockLevel,
     Method::LargeM,
     Method::Fused,
     Method::FusedLargeM,
-    Method::Onesweep,
 ];
 
 /// One device of each schedule kind; every check below runs on all three.
@@ -128,4 +127,99 @@ fn all_one_bucket_input_is_the_identity_permutation_everywhere() {
         let (c, kept) = primitives::compact_by_pred(&dev, "a", &buf, keys.len(), 8, |_| true);
         assert_eq!((c.to_vec(), kept as usize), (keys.clone(), keys.len()));
     }
+}
+
+/// A bucket function that breaks the `bucket_of(key) < m` contract for
+/// exactly one key: 1000 maps to bucket `m`.
+struct OneKeyOutOfRange(u32);
+
+impl BucketFn for OneKeyOutOfRange {
+    fn num_buckets(&self) -> u32 {
+        self.0
+    }
+    fn bucket_of(&self, key: u32) -> u32 {
+        if key == 1000 {
+            self.0
+        } else {
+            key % self.0
+        }
+    }
+}
+
+/// Run `method` on keys `0..3000` with the contract-breaking bucket
+/// function at the method's usual `m` (7, or 48 for the large-m paths).
+fn run_with_out_of_range_bucket(method: Method) {
+    let keys: Vec<u32> = (0..3000).collect();
+    let buf = GlobalBuffer::from_slice(&keys);
+    let bucket = OneKeyOutOfRange(m_for(method));
+    multisplit_device(
+        &Device::new(K40C),
+        method,
+        &buf,
+        no_values(),
+        keys.len(),
+        &bucket,
+        8,
+    );
+}
+
+// A bucket function returning `b >= m` fails in the first kernel that
+// classifies keys, naming the key, the bucket and m — on every method.
+
+#[test]
+#[should_panic(expected = "bucket function returned bucket 7 for key 1000 (m = 7)")]
+fn out_of_range_bucket_is_named_by_direct() {
+    run_with_out_of_range_bucket(Method::Direct);
+}
+
+#[test]
+#[should_panic(expected = "bucket function returned bucket 7 for key 1000 (m = 7)")]
+fn out_of_range_bucket_is_named_by_warp_level() {
+    run_with_out_of_range_bucket(Method::WarpLevel);
+}
+
+#[test]
+#[should_panic(expected = "bucket function returned bucket 7 for key 1000 (m = 7)")]
+fn out_of_range_bucket_is_named_by_block_level() {
+    run_with_out_of_range_bucket(Method::BlockLevel);
+}
+
+#[test]
+#[should_panic(expected = "bucket function returned bucket 48 for key 1000 (m = 48)")]
+fn out_of_range_bucket_is_named_by_large_m() {
+    run_with_out_of_range_bucket(Method::LargeM);
+}
+
+#[test]
+#[should_panic(expected = "bucket function returned bucket 7 for key 1000 (m = 7)")]
+fn out_of_range_bucket_is_named_by_fused() {
+    run_with_out_of_range_bucket(Method::Fused);
+}
+
+#[test]
+#[should_panic(expected = "bucket function returned bucket 48 for key 1000 (m = 48)")]
+fn out_of_range_bucket_is_named_by_fused_large_m() {
+    run_with_out_of_range_bucket(Method::FusedLargeM);
+}
+
+#[test]
+#[should_panic(expected = "bucket function returned bucket 48 for key 1000 (m = 48)")]
+fn out_of_range_bucket_is_named_by_segmented() {
+    // Key 1000 lies in the second (large-m) segment.
+    let keys: Vec<u32> = (0..3000).collect();
+    let buf = GlobalBuffer::from_slice(&keys);
+    let (small, large) = (OneKeyOutOfRange(7), OneKeyOutOfRange(48));
+    let specs = [
+        SegmentSpec {
+            offset: 0,
+            n: 800,
+            bucket: &small,
+        },
+        SegmentSpec {
+            offset: 800,
+            n: 2200,
+            bucket: &large,
+        },
+    ];
+    multisplit_segmented(&Device::new(K40C), &buf, no_values(), &specs, 8);
 }

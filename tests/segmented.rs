@@ -6,9 +6,10 @@
 //! sequential, and adversarial schedulers.
 
 use multisplit::{
-    fused_max_buckets, multisplit_ref, no_values, FnBuckets, Method, RangeBuckets, SegmentSpec,
+    fused_max_buckets, multisplit_device, multisplit_ref, no_values, FnBuckets, Method,
+    RangeBuckets, SegmentSpec,
 };
-use simt::{AdvSchedule, Device, GlobalBuffer, K40C};
+use simt::{AdvFlavor, AdvSchedule, BlockStats, Device, GlobalBuffer, K40C};
 
 fn keys_for(n: usize, seed: u32) -> Vec<u32> {
     (0..n as u32)
@@ -212,4 +213,82 @@ fn structured_bucket_functions_per_segment() {
     assert_eq!(outs[0].1, vec![skew_offs, uni_offs]);
     assert_eq!(outs[0], outs[1]);
     assert_eq!(outs[0], outs[2]);
+}
+
+/// The counted cost of decoding one tile descriptor in a segmented
+/// launch: warp 0 gathers the 8-word descriptor (one cached request, one
+/// sector, 8 lanes), stores it to shared memory (8 lane stores), and after
+/// one block barrier every word is read back (8 single-word loads).
+const DESCRIPTOR_COST: BlockStats = BlockStats {
+    sectors: 1,
+    useful_bytes: 32,
+    global_requests: 1,
+    replays: 0,
+    atomic_ops: 0,
+    atomic_conflicts: 0,
+    smem_ops: 16,
+    smem_bank_conflicts: 0,
+    intrinsics: 0,
+    lane_ops: 8,
+    barriers: 1,
+    divergent_iters: 0,
+};
+
+/// Segmented and standalone multisplit run the same sweep-tile engine: a
+/// one-segment batch at offset 0 must bill every launch exactly like the
+/// standalone `Method::auto` run, plus one descriptor decode per tile —
+/// field for field, on every scheduler, key-only and key-value, on both
+/// sides of the warp-width row-shape boundary.
+#[test]
+fn one_segment_batch_bills_the_standalone_run_plus_descriptors() {
+    let n = 5000usize;
+    let keys_host = keys_for(n, 3);
+    let vals_host: Vec<u32> = (0..n as u32).collect();
+    let mut devices = vec![
+        (Device::new(K40C), Device::new(K40C)),
+        (Device::sequential(K40C), Device::sequential(K40C)),
+    ];
+    for flavor in AdvFlavor::ALL {
+        let sched = AdvSchedule::with_flavor(0x5E6, flavor);
+        devices.push((
+            Device::adversarial(K40C, sched),
+            Device::adversarial(K40C, sched),
+        ));
+    }
+    for m in [3u32, 16, 32, 33, 64, 300] {
+        let bucket = RangeBuckets::new(m);
+        for kv in [false, true] {
+            for (dev_alone, dev_seg) in &devices {
+                let keys = GlobalBuffer::from_slice(&keys_host);
+                let values = GlobalBuffer::from_slice(&vals_host);
+                let values = kv.then_some(&values);
+                let alone =
+                    multisplit_device(dev_alone, Method::auto(m, kv), &keys, values, n, &bucket, 8);
+                let spec = [SegmentSpec {
+                    offset: 0,
+                    n,
+                    bucket: &bucket,
+                }];
+                let seg = multisplit::multisplit_segmented(dev_seg, &keys, values, &spec, 8);
+                assert_eq!(seg.keys.to_vec(), alone.keys.to_vec(), "m={m} kv={kv}");
+                assert_eq!(seg.offsets, vec![alone.offsets], "m={m} kv={kv}");
+                assert_eq!(
+                    seg.values.map(|v| v.to_vec()),
+                    alone.values.map(|v| v.to_vec()),
+                    "m={m} kv={kv}"
+                );
+                let (recs_alone, recs_seg) = (dev_alone.take_records(), dev_seg.take_records());
+                assert_eq!(recs_seg.len(), 2, "m={m} kv={kv}: one coalesced pipeline");
+                assert_eq!(recs_alone.len(), 2, "m={m} kv={kv}");
+                for (a, s) in recs_alone.iter().zip(&recs_seg) {
+                    assert_eq!(a.blocks, s.blocks, "{} vs {}", a.label, s.label);
+                    let mut expect = a.stats;
+                    for _ in 0..a.blocks {
+                        expect += DESCRIPTOR_COST;
+                    }
+                    assert_eq!(s.stats, expect, "m={m} kv={kv}: {} vs {}", s.label, a.label);
+                }
+            }
+        }
+    }
 }
